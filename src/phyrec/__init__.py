@@ -1,7 +1,7 @@
 """Phylogenetic reconstruction on homogeneous trees beyond the linear
 threshold: symmetric/GTR models, samplers, diluted ancestral-state
-estimators, distorted metrics with four-point quartet tests, and the
-level-by-level topology reconstruction they drive."""
+estimators, channel-inverting distances, and the level-by-level topology
+reconstruction that runs the gated four-point quartet test on them."""
 
 from .asr import (CalibrationResult, ErrorChannelEstimate, calibrate_dilution,
                   diluted_root_estimator, diluted_state_sets,
@@ -14,17 +14,14 @@ from .experiments import (MinKResult, ProbeResult, SweepConfig,
                           asr_accuracy_sweep, cell_rng,
                           distinguishability_probe, find_min_k,
                           ptr_success_sweep)
-from .metric import (ConcentrationReport, DistortedMetric, QuartetSplit,
-                     distance_concentration_check, estimate_distance,
-                     four_point_split, four_point_value, fp_indicator,
-                     pairwise_distance_matrix)
+from .metric import (ConcentrationReport, distance_concentration_check,
+                     estimate_distance, pairwise_distance_matrix)
 from .model import (G_LIN, G_PERC, RateModel, Thresholds, delta_from_tau,
                     load_rate_model, potts_rate_matrix,
                     potts_transition_matrix, thresholds, transition_matrix,
                     validate_gtr)
 from .newick import parse_newick, read_newick_file, to_newick
 from .reconstruct import (ReconstructionParams, auto_reconstruction_params,
-                          default_diameter_gate, identify_cherries,
                           reconstruct_homogeneous,
                           reconstruct_internal_sequences)
 from .simulate import (Alignment, broadcast_sample, exact_leaf_distribution,

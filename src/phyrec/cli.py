@@ -25,14 +25,13 @@ from .asr import diluted_state_sets, exact_root_posterior
 from .errors import PhyrecError, ReconstructionError
 from .experiments import (SweepConfig, asr_accuracy_sweep,
                           distinguishability_probe, ptr_success_sweep)
-from .metric import (DistortedMetric, four_point_split, four_point_value,
-                     pairwise_distance_matrix)
+from .metric import pairwise_distance_matrix
 from .model import (G_LIN, G_PERC, delta_from_tau, load_rate_model,
                     potts_rate_matrix, potts_transition_matrix, thresholds,
                     transition_matrix, validate_gtr)
 from .newick import parse_newick, read_newick_file, to_newick
-from .reconstruct import (ReconstructionParams, auto_reconstruction_params,
-                          reconstruct_homogeneous)
+from .reconstruct import (ReconstructionParams, _quartet_relations,
+                          auto_reconstruction_params, reconstruct_homogeneous)
 from .simulate import (exact_leaf_distribution, read_alignment,
                        sample_alignment, write_alignment)
 from .tree import (Phylogeny, Topology, homogeneous_phylogeny,
@@ -346,20 +345,20 @@ def _check_newick_roundtrip(rng):
 
 
 def _check_four_point(rng):
-    # Quartet 12|34 with pendant edges 0.1 and internal edge 0.05.
-    d = np.zeros((4, 4))
-    pairs = {(1, 2): 0.2, (3, 4): 0.2, (1, 3): 0.25, (1, 4): 0.25,
-             (2, 3): 0.25, (2, 4): 0.25}
-    ids = [1, 2, 3, 4]
-    for (u, v), val in pairs.items():
-        d[u - 1, v - 1] = d[v - 1, u - 1] = val
-    dm = DistortedMetric(ids, d, D=1.0, W=20.0)
-    f = four_point_value(dm, 1, 2, 3, 4)
-    split = four_point_split(dm, {1, 2, 3, 4})
-    ok = (math.isclose(f, 0.05)
-          and math.isclose(four_point_value(dm, 1, 3, 2, 4), -0.05)
-          and split.groups(1, 2) and split.separates(2, 3))
-    return ok, f"F(12|34)={f:.6g}, split={split}"
+    # Quartet 12|34 with pendant edges 0.1 and internal edge 0.05, so
+    # F(12|34) = 0.05: accepted at f_min/2 = 0.045, refused at 0.055.
+    d = np.full((4, 4), 0.25)
+    d[0, 1] = d[1, 0] = d[2, 3] = d[3, 2] = 0.2
+    np.fill_diagonal(d, 0.0)
+    gate = 1.0 + math.log(20.0 / 4.0)
+    together, separated = _quartet_relations(d, gate, 0.09)
+    cross = np.zeros((4, 4), dtype=bool)
+    cross[:2, 2:] = cross[2:, :2] = True
+    accepted = (np.array_equal(together, ~cross & ~np.eye(4, dtype=bool))
+                and np.array_equal(separated, cross))
+    refused = not any(r.any() for r in _quartet_relations(d, gate, 0.11))
+    return accepted and refused, (f"12|34 accepted at f_min=0.09: {accepted}, "
+                                  f"nothing accepted at f_min=0.11: {refused}")
 
 
 def _check_sampler_agreement(rng):
@@ -432,17 +431,6 @@ def _check_diluted_event(rng):
     return True, "all leaf patterns match the recursive definition"
 
 
-def _check_channel_composition(rng):
-    worst = 0.0
-    for _ in range(10):
-        q = int(rng.integers(2, 8))
-        model = potts_rate_matrix(q) if rng.integers(2) else _random_gtr(rng, q)
-        b1, b2 = rng.uniform(0.05, 2.0, size=2)
-        lhs = transition_matrix(model, b1) @ transition_matrix(model, b2)
-        worst = max(worst, float(np.abs(lhs - transition_matrix(model, b1 + b2)).max()))
-    return worst < 1e-10, f"max composition deviation {worst:.2e}"
-
-
 def _check_distance_formula(rng):
     from .metric import estimate_distance
     one = estimate_distance([0, 0, 0, 0], [1, 0, 0, 0], 2)
@@ -462,7 +450,6 @@ _VERIFY_CHECKS = [
     ("sampler-agreement", _check_sampler_agreement),
     ("posterior-enumeration", _check_posterior),
     ("diluted-event", _check_diluted_event),
-    ("channel-composition", _check_channel_composition),
     ("distance-formula", _check_distance_formula),
 ]
 

@@ -89,6 +89,18 @@ def _params_for(cfg: SweepConfig, tau: float, k: int, l: int,
                                       D=cfg.D)
 
 
+def pipeline_trial(phy: Phylogeny, model, k: int,
+                   params: ReconstructionParams, rng):
+    """One sample-then-reconstruct trial: a k-site alignment on ``phy``
+    and the topology rebuilt from it, or None when reconstruction fails.
+    Both steps draw from ``rng``, sampling first."""
+    align = sample_alignment(phy, model, k, rng)
+    try:
+        return reconstruct_homogeneous(align, model.q, params, rng)
+    except ReconstructionError:
+        return None
+
+
 def _ptr_cell(cfg: SweepConfig, index: int, q, tau, h, k, l, estimator) -> dict:
     t0 = time.perf_counter()
     model = potts_rate_matrix(q)
@@ -101,12 +113,9 @@ def _ptr_cell(cfg: SweepConfig, index: int, q, tau, h, k, l, estimator) -> dict:
             phy = random_homogeneous_phylogeny(h, f, g, rng)
         else:
             phy = homogeneous_phylogeny(h, tau)
-        align = sample_alignment(phy, model, k, rng)
-        try:
-            result = reconstruct_homogeneous(align, q, params, rng)
+        result = pipeline_trial(phy, model, k, params, rng)
+        if result is not None:
             successes += int(topologies_equal(result, unroot(phy)))
-        except ReconstructionError:
-            pass
     rate = successes / cfg.trials
     return {"q": q, "tau": tau, "h": h, "n": 2 ** h, "k": k, "l": l,
             "estimator": estimator, "trials": cfg.trials,
@@ -288,10 +297,8 @@ def distinguishability_probe(q: int, tau: float, depth: int, k: int,
         hits = 0
         for _ in range(trials):
             z = int(rng.integers(2))
-            align = sample_alignment(phy2 if z else phy1, model, k, rng)
-            try:
-                result = reconstruct_homogeneous(align, q, params, rng)
-            except ReconstructionError:
+            result = pipeline_trial(phy2 if z else phy1, model, k, params, rng)
+            if result is None:
                 continue
             match1 = topologies_equal(result, top1)
             match2 = topologies_equal(result, top2)
@@ -326,12 +333,9 @@ def find_min_k(q: int, tau: float, h: int, target_rate: float, rng,
         for trial in range(trials):
             sub = np.random.default_rng(
                 np.random.SeedSequence(int(rng.integers(2 ** 63)), spawn_key=(k, trial)))
-            align = sample_alignment(phy, model, k, sub)
-            try:
-                wins += int(topologies_equal(
-                    reconstruct_homogeneous(align, q, params, sub), truth))
-            except ReconstructionError:
-                pass
+            result = pipeline_trial(phy, model, k, params, sub)
+            if result is not None:
+                wins += int(topologies_equal(result, truth))
         value = wins / trials
         curve.append((k, value))
         return value

@@ -1,4 +1,4 @@
-"""Distance estimation and the four-point (quartet) machinery.
+"""Distance estimation and the empirical concentration / gate report.
 
 Distances between sequences are estimated by inverting the symmetric
 channel: tau_hat = -ln(1 - q/(q-1) * mismatch fraction), saturating to
@@ -8,16 +8,16 @@ distance tau(u, v) + b_u + b_v, where b_u is the length of the error
 channel of u's reconstruction; those extra summands cancel in every
 four-point combination, so quartet calls remain valid.
 
-Quartets whose largest pairwise estimate exceeds D + ln(W/4) fail the
-diameter gate: their four-point value is +inf and they are discarded
-(no split of a gated quartet is ever accepted).
+The four-point test itself runs in ``reconstruct._quartet_relations``:
+a quartet whose largest pairwise estimate exceeds the diameter gate
+D + ln(W/4) is discarded, so a saturated (+inf) estimate shuts out
+every quartet it belongs to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -60,120 +60,6 @@ def pairwise_distance_matrix(seqs: np.ndarray, q: int) -> np.ndarray:
         dist = np.where(arg > 0, -np.log(np.maximum(arg, 1e-300)), np.inf)
     np.fill_diagonal(dist, 0.0)
     return dist
-
-
-@dataclass(frozen=True)
-class QuartetSplit:
-    """An unordered bipartition of four labels into two pairs; ``sides``
-    is None for the undetermined (gated) outcome."""
-
-    sides: tuple | None
-
-    @staticmethod
-    def of(pair1, pair2) -> "QuartetSplit":
-        a, b = frozenset(pair1), frozenset(pair2)
-        if len(a) != 2 or len(b) != 2 or a & b:
-            raise ValueError("a quartet split needs two disjoint pairs")
-        return QuartetSplit(sides=(a, b) if min(a) < min(b) else (b, a))
-
-    @staticmethod
-    def undetermined() -> "QuartetSplit":
-        return QuartetSplit(sides=None)
-
-    def separates(self, u, v) -> bool:
-        if self.sides is None:
-            return False
-        (a, b) = self.sides
-        return (u in a and v in b) or (u in b and v in a)
-
-    def groups(self, u, v) -> bool:
-        if self.sides is None:
-            return False
-        return {u, v} in (set(self.sides[0]), set(self.sides[1]))
-
-    def __repr__(self):
-        if self.sides is None:
-            return "QuartetSplit(undetermined)"
-        (a, b) = self.sides
-        return "QuartetSplit(%s|%s)" % ("".join(map(str, sorted(a))),
-                                        "".join(map(str, sorted(b))))
-
-
-@dataclass
-class DistortedMetric:
-    """Estimated pairwise distances over a set of node ids, together with
-    the gating parameters D and W."""
-
-    node_ids: list
-    matrix: np.ndarray
-    D: float
-    W: float
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.node_ids)}
-        if self.W <= 5:
-            raise ValueError(f"gate width W must exceed 5, got {self.W}")
-
-    @classmethod
-    def from_sequences(cls, node_ids, seqs, q, D, W) -> "DistortedMetric":
-        return cls(list(node_ids), pairwise_distance_matrix(np.asarray(seqs), q), D, W)
-
-    def value(self, u, v) -> float:
-        return float(self.matrix[self._index[u], self._index[v]])
-
-    @property
-    def gate(self) -> float:
-        return self.D + math.log(self.W / 4.0)
-
-
-def four_point_value(dm: DistortedMetric, a, b, c, d) -> float:
-    """Gated four-point value of the pairing ab|cd:
-    (tau(a,c) + tau(b,d) - tau(a,b) - tau(c,d)) / 2, or +inf when any of
-    the six pairwise estimates exceeds the diameter gate."""
-    labels = (a, b, c, d)
-    if len(set(labels)) != 4:
-        raise ValueError("four distinct labels required")
-    worst = max(dm.value(u, v) for u, v in combinations(labels, 2))
-    if worst > dm.gate:
-        return math.inf
-    return 0.5 * (dm.value(a, c) + dm.value(b, d) - dm.value(a, b) - dm.value(c, d))
-
-
-def four_point_split(dm: DistortedMetric, quartet) -> QuartetSplit:
-    """Split call for a 4-set of labels: the sign of the four-point value
-    on the sorted ordering decides, zero falling to ad|bc; a gated
-    quartet is undetermined."""
-    a, b, c, d = sorted(quartet)
-    value = four_point_value(dm, a, b, c, d)
-    if math.isinf(value):
-        return QuartetSplit.undetermined()
-    if value > 0:
-        return QuartetSplit.of((a, b), (c, d))
-    if value < 0:
-        return QuartetSplit.of((a, c), (b, d))
-    return QuartetSplit.of((a, d), (b, c))
-
-
-def fp_indicator(dm: DistortedMetric, quartet, f_min: float) -> dict:
-    """Thresholded indicators for the three pairings of a quartet.
-
-    A pairing scores 1 when its four-point value exceeds f_min / 2.
-    Gated quartets score 0 on every pairing (they are discarded, which
-    keeps contradictory all-pairings acceptances out of the split set).
-    """
-    a, b, c, d = sorted(quartet)
-    t = dm.value
-    worst = max(t(u, v) for u, v in combinations((a, b, c, d), 2))
-    x = t(a, b) + t(c, d)
-    y = t(a, c) + t(b, d)
-    z = t(a, d) + t(b, c)
-    gated = worst > dm.gate
-    half = f_min / 2.0
-    return {
-        QuartetSplit.of((a, b), (c, d)): int(not gated and 0.5 * (y - x) > half),
-        QuartetSplit.of((a, c), (b, d)): int(not gated and 0.5 * (x - y) > half),
-        QuartetSplit.of((a, d), (b, c)): int(not gated and 0.5 * (x - z) > half),
-    }
 
 
 # ---------------------------------------------------------------------------

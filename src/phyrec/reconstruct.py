@@ -21,7 +21,7 @@ import numpy as np
 
 from .asr import diluted_estimates, majority_estimates
 from .errors import CherryMatchingError
-from .metric import QuartetSplit, pairwise_distance_matrix
+from .metric import pairwise_distance_matrix
 from .simulate import Alignment
 from .tree import Topology
 
@@ -57,13 +57,6 @@ class ReconstructionParams:
             raise ValueError(f"D must be > 0, got {self.D}")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}")
-
-
-def default_diameter_gate(g: float, b_bar: float, h_cherry: int = 2) -> float:
-    """Diameter bound sized so cherry-scale quartets pass the gate: twice
-    the largest honest path (h_cherry levels of edges at length g) plus
-    twice the worst-case bias 2*b_bar."""
-    return 2.0 * (g * h_cherry + 2.0 * b_bar)
 
 
 def auto_reconstruction_params(g: float, k: int, l: int = 1, W: float = 5.5,
@@ -115,7 +108,15 @@ def _all_quartets(m: int) -> np.ndarray:
 def _quartet_relations(dist: np.ndarray, gate: float, f_min: float,
                        chunk: int = 1 << 20):
     """Scan every quartet and scatter the accepted splits into pairwise
-    ``together`` / ``separated`` relations (m x m boolean)."""
+    ``together`` / ``separated`` relations (m x m boolean).
+
+    This is the package's one four-point test.  For a quartet a<b<c<d
+    with x = t(a,b) + t(c,d), y = t(a,c) + t(b,d), z = t(a,d) + t(b,c),
+    the pairing ab|cd is accepted when (y - x)/2 > f_min/2, ac|bd when
+    (x - y)/2 > f_min/2 and ad|bc when (x - z)/2 > f_min/2.  A quartet
+    whose largest distance exceeds ``gate`` is discarded whole, which
+    keeps saturated (+inf) estimates out of the split set.
+    """
     m = dist.shape[0]
     together = np.zeros((m, m), dtype=bool)
     separated = np.zeros((m, m), dtype=bool)
@@ -188,39 +189,6 @@ def _matching_from_relations(together: np.ndarray, separated: np.ndarray):
             "unforced (missing or ambiguous pairs)", candidates=candidates)
     pairs.sort()
     return pairs
-
-
-def identify_cherries(splits, vertices):
-    """Pair up vertices from a collection of accepted quartet splits.
-
-    A candidate pair must appear together on one side of at least one
-    split and never on opposite sides; the candidate pairs must form a
-    unique perfect matching or CherryMatchingError is raised.
-    """
-    vertices = list(vertices)
-    if len(vertices) % 2:
-        raise ValueError("an odd number of vertices cannot be paired")
-    if len(vertices) == 2:
-        return [(vertices[0], vertices[1])]
-    index = {v: i for i, v in enumerate(vertices)}
-    m = len(vertices)
-    together = np.zeros((m, m), dtype=bool)
-    separated = np.zeros((m, m), dtype=bool)
-    for split in splits:
-        if split.sides is None:
-            continue
-        (a, b), (c, d) = (sorted(side) for side in split.sides)
-        together[index[a], index[b]] = together[index[b], index[a]] = True
-        together[index[c], index[d]] = together[index[d], index[c]] = True
-        for u, v in ((a, c), (a, d), (b, c), (b, d)):
-            separated[index[u], index[v]] = separated[index[v], index[u]] = True
-    try:
-        pairs = _matching_from_relations(together, separated)
-    except CherryMatchingError as exc:
-        raise CherryMatchingError(
-            str(exc),
-            candidates=[(vertices[i], vertices[j]) for i, j in exc.candidates])
-    return [(vertices[i], vertices[j]) for i, j in pairs]
 
 
 def reconstruct_internal_sequences(parent_leaf_sets, align: Alignment, q: int,

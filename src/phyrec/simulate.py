@@ -221,15 +221,19 @@ def read_alignment(path) -> Alignment:
     lines = [l for l in lines if l.strip() and not l.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty alignment file")
-    header = dict(part.split("=", 1) for part in lines[0].split())
     try:
+        header = dict(part.split("=", 1) for part in lines[0].split())
         q, k = int(header["q"]), int(header["k"])
     except (KeyError, ValueError):
-        raise ValueError(f"malformed alignment header {lines[0]!r}")
+        raise ValueError(f"malformed alignment header {lines[0]!r}") from None
     node_ids, rows = [], []
     for line in lines[1:]:
         name, _, data = line.partition("\t")
-        node_ids.append(int(name))
+        try:
+            node_ids.append(int(name))
+        except ValueError:
+            raise ValueError(f"node name {name!r} is not an integer "
+                             f"in alignment line {line!r}") from None
         row = np.array(data.split(), dtype=np.int32) - 1
         if row.shape != (k,):
             raise ValueError(f"node {name}: expected {k} states, got {row.shape[0]}")

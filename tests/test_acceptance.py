@@ -30,6 +30,7 @@ from phyrec.experiments import (
     bootstrap_decreasing_probability,
     distinguishability_probe,
     homogeneous_phylogeny,
+    pipeline_trial,
     random_homogeneous_phylogeny,
 )
 from phyrec.metric import distance_concentration_check, tree_metric
@@ -202,12 +203,9 @@ def _pipeline_success_rate(tau, rng, trials=50):
     params = auto_reconstruction_params(tau, 4000, estimator="majority")
     wins = 0
     for _ in range(trials):
-        align = sample_alignment(phy, model, 4000, rng)
-        try:
-            wins += int(topologies_equal(
-                reconstruct_homogeneous(align, 2, params, rng), truth))
-        except ReconstructionError:
-            pass
+        result = pipeline_trial(phy, model, 4000, params, rng)
+        if result is not None:
+            wins += int(topologies_equal(result, truth))
     return wins
 
 

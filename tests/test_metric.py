@@ -5,17 +5,13 @@ import pytest
 
 from phyrec.metric import (
     ConcentrationReport,
-    DistortedMetric,
-    QuartetSplit,
     distance_concentration_check,
     estimate_distance,
     find_min_cprime,
-    four_point_split,
-    four_point_value,
-    fp_indicator,
     pairwise_distance_matrix,
 )
 from phyrec.model import potts_rate_matrix
+from phyrec.reconstruct import _quartet_relations
 from phyrec.tree import Phylogeny
 
 
@@ -58,97 +54,66 @@ def test_pairwise_matrix_matches_scalar_estimates(q):
                 assert mat[i, j] == pytest.approx(want, abs=1e-9)
 
 
-def test_quartet_split_semantics():
-    s = QuartetSplit.of((3, 1), (2, 4))
-    assert s == QuartetSplit.of((1, 3), (4, 2))
-    assert s.groups(1, 3) and s.groups(4, 2)
-    assert s.separates(1, 2) and s.separates(3, 4)
-    assert not s.separates(1, 3)
-    assert repr(s) == "QuartetSplit(13|24)"
-    u = QuartetSplit.undetermined()
-    assert not u.separates(1, 2) and not u.groups(1, 2)
-    with pytest.raises(ValueError):
-        QuartetSplit.of((1, 2), (2, 3))
-    with pytest.raises(ValueError):
-        QuartetSplit.of((1, 1), (2, 3))
+# The four-point test on these metrics runs in reconstruct._quartet_relations.
+
+GATE = 10.0 + math.log(5.0)   # D = 10, W = 20
 
 
-def quartet_metric(d12, d34, cross, ids=(1, 2, 3, 4), D=10.0, W=20.0):
+def quartet_metric(d12, d34, cross):
     m = np.full((4, 4), cross)
     m[0, 1] = m[1, 0] = d12
     m[2, 3] = m[3, 2] = d34
     np.fill_diagonal(m, 0.0)
-    return DistortedMetric(list(ids), m, D, W)
+    return m
 
 
-def test_distorted_metric_basics():
-    dm = quartet_metric(0.2, 0.2, 0.25, ids=(5, 9, 11, 30))
-    assert dm.value(5, 9) == pytest.approx(0.2)
-    assert dm.value(11, 30) == pytest.approx(0.2)
-    assert dm.value(9, 11) == pytest.approx(0.25)
-    assert dm.gate == pytest.approx(10.0 + math.log(5.0))
-    with pytest.raises(ValueError):
-        DistortedMetric([1, 2], np.zeros((2, 2)), 1.0, 5.0)
+def accepted_pairs(dist, gate, f_min):
+    """(together, separated) as sets of index pairs i < j."""
+    return tuple({(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(rel)))}
+                 for rel in _quartet_relations(dist, gate, f_min))
 
 
-def test_from_sequences_matches_matrix():
-    rng = np.random.default_rng(82)
-    seqs = rng.integers(2, size=(4, 60))
-    dm = DistortedMetric.from_sequences([1, 2, 3, 4], seqs, 2, 2.0, 20.0)
-    assert np.allclose(dm.matrix, pairwise_distance_matrix(seqs, 2), equal_nan=True)
+def split_relations(pair1, pair2):
+    """The relations one accepted split pair1|pair2 scatters."""
+    together = {tuple(sorted(pair1)), tuple(sorted(pair2))}
+    separated = {tuple(sorted((u, v))) for u in pair1 for v in pair2}
+    return together, separated
 
 
 def test_four_point_value_worked_example():
     # pendant edges 0.1 and internal edge 0.05 around the split 12|34:
-    # within-pair distance 0.2, cross distance 0.25
-    dm = quartet_metric(0.2, 0.2, 0.25)
-    assert four_point_value(dm, 1, 2, 3, 4) == pytest.approx(0.05, abs=1e-12)
-    assert four_point_value(dm, 1, 3, 2, 4) == pytest.approx(-0.05, abs=1e-12)
-    assert four_point_value(dm, 1, 4, 2, 3) == pytest.approx(-0.05, abs=1e-12)
-    with pytest.raises(ValueError):
-        four_point_value(dm, 1, 2, 3, 3)
+    # within-pair distance 0.2, cross distance 0.25, so F(12|34) = 0.05
+    # and F(13|24) = F(14|23) = -0.05; thresholds bracket the value
+    dist = quartet_metric(0.2, 0.2, 0.25)
+    assert accepted_pairs(dist, GATE, 0.099) == split_relations((0, 1), (2, 3))
+    assert accepted_pairs(dist, GATE, 0.101) == (set(), set())
 
 
 def test_four_point_value_gated():
     # D + ln(W/4) = 0.01 + ln(1.2525) ~ 0.235 sits below the cross distance
-    dm = quartet_metric(0.2, 0.2, 0.25, D=0.01, W=5.01)
-    assert dm.gate < 0.25
-    assert four_point_value(dm, 1, 2, 3, 4) == math.inf
+    gate = 0.01 + math.log(5.01 / 4.0)
+    assert gate < 0.25
+    assert accepted_pairs(quartet_metric(0.2, 0.2, 0.25), gate, 0.05) == (set(), set())
 
 
 def test_four_point_split_all_three_configurations():
-    # the same tree shape with labels permuted lands in each sign slot
-    assert four_point_split(quartet_metric(0.2, 0.2, 0.25), (1, 2, 3, 4)) == \
-        QuartetSplit.of((1, 2), (3, 4))
-    # true split 13|24: d13 = d24 = 0.2, rest 0.25
-    m = np.full((4, 4), 0.25)
-    m[0, 2] = m[2, 0] = m[1, 3] = m[3, 1] = 0.2
-    np.fill_diagonal(m, 0.0)
-    dm = DistortedMetric([1, 2, 3, 4], m, 10.0, 20.0)
-    assert four_point_split(dm, (1, 2, 3, 4)) == QuartetSplit.of((1, 3), (2, 4))
-    # star metric: all four-point values zero, falls to 14|23
-    star = quartet_metric(0.2, 0.2, 0.2)
-    assert four_point_split(star, (1, 2, 3, 4)) == QuartetSplit.of((1, 4), (2, 3))
-    # gated quartet is undetermined
-    gated = quartet_metric(0.2, 0.2, 0.25, D=0.01, W=5.01)
-    assert gated.gate < 0.25
-    assert four_point_split(gated, (1, 2, 3, 4)) == QuartetSplit.undetermined()
+    # the same tree shape with labels permuted lands in each pairing slot
+    for pair1, pair2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        dist = np.full((4, 4), 0.25)
+        for a, b in (pair1, pair2):
+            dist[a, b] = dist[b, a] = 0.2
+        np.fill_diagonal(dist, 0.0)
+        assert accepted_pairs(dist, GATE, 0.05) == split_relations(pair1, pair2)
+    # star metric: every four-point value is zero, nothing is accepted
+    assert accepted_pairs(quartet_metric(0.2, 0.2, 0.2), GATE, 0.05) == (set(), set())
 
 
 def test_fp_indicator():
-    dm = quartet_metric(0.2, 0.2, 0.25)
-    ind = fp_indicator(dm, (1, 2, 3, 4), f_min=0.05)
-    assert ind[QuartetSplit.of((1, 2), (3, 4))] == 1
-    assert ind[QuartetSplit.of((1, 3), (2, 4))] == 0
-    assert ind[QuartetSplit.of((1, 4), (2, 3))] == 0
-    # threshold above the signal: nothing fires
-    ind = fp_indicator(dm, (1, 2, 3, 4), f_min=0.2)
-    assert sum(ind.values()) == 0
+    dist = quartet_metric(0.2, 0.2, 0.25)
+    assert accepted_pairs(dist, GATE, 0.05) == split_relations((0, 1), (2, 3))
     # a saturated pair trips the gate, so nothing fires either
-    m = dm.matrix.copy()
-    m[0, 3] = m[3, 0] = math.inf
-    sat = DistortedMetric([1, 2, 3, 4], m, 10.0, 20.0)
-    assert sum(fp_indicator(sat, (1, 2, 3, 4), f_min=0.05).values()) == 0
+    dist[0, 3] = dist[3, 0] = math.inf
+    assert accepted_pairs(dist, GATE, 0.05) == (set(), set())
 
 
 def test_gate_classification_rate_weighting():

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from phyrec.errors import CherryMatchingError, ReconstructionError
-from phyrec.metric import DistortedMetric, QuartetSplit, fp_indicator
 from phyrec.reconstruct import (
     ReconstructionParams,
     _all_quartets,
     _matching_from_relations,
     _quartet_relations,
     auto_reconstruction_params,
-    default_diameter_gate,
-    identify_cherries,
     reconstruct_homogeneous,
 )
 from phyrec.simulate import Alignment, sample_alignment
@@ -66,11 +63,6 @@ def test_params_validation():
             ReconstructionParams(**kwargs)
 
 
-def test_default_diameter_gate():
-    assert default_diameter_gate(0.2, 0.5) == pytest.approx(2 * (0.4 + 1.0))
-    assert default_diameter_gate(0.2, 0.5, h_cherry=3) == pytest.approx(2 * (0.6 + 1.0))
-
-
 def test_auto_reconstruction_params():
     p = auto_reconstruction_params(0.2, 4000)
     assert p.f_min == pytest.approx(0.5)
@@ -113,22 +105,45 @@ def test_quartet_relations_match_scalar_indicators():
         f_min = float(rng.uniform(0.05, 0.6))
         gate = float(rng.uniform(0.5, 3.5))
         together, separated = _quartet_relations(dist, gate, f_min)
-        # scalar oracle over every quartet through the metric-module path
-        dm = DistortedMetric(list(range(m)), dist, D=gate - math.log(5.0), W=20.0)
-        assert dm.gate == pytest.approx(gate)
+        # scalar oracle: the gated, thresholded four-point test per quartet
         want_t = np.zeros((m, m), dtype=bool)
         want_s = np.zeros((m, m), dtype=bool)
-        for quartet in itertools.combinations(range(m), 4):
-            for split, hit in fp_indicator(dm, quartet, f_min).items():
-                if not hit:
-                    continue
-                (a, b), (c, d) = split.sides
-                want_t[a, b] = want_t[b, a] = True
-                want_t[c, d] = want_t[d, c] = True
-                for u, v in ((a, c), (a, d), (b, c), (b, d)):
-                    want_s[u, v] = want_s[v, u] = True
+        for a, b, c, d in itertools.combinations(range(m), 4):
+            quartet = (a, b, c, d)
+            if max(dist[u, v] for u, v in itertools.combinations(quartet, 2)) > gate:
+                continue
+            x = dist[a, b] + dist[c, d]
+            y = dist[a, c] + dist[b, d]
+            z = dist[a, d] + dist[b, c]
+            for side1, side2, value in (((a, b), (c, d), y - x),
+                                        ((a, c), (b, d), x - y),
+                                        ((a, d), (b, c), x - z)):
+                if 0.5 * value > f_min / 2:
+                    for u, v in (side1, side2):
+                        want_t[u, v] = want_t[v, u] = True
+                    for u, v in itertools.product(side1, side2):
+                        want_s[u, v] = want_s[v, u] = True
         assert np.array_equal(together, want_t), trial
         assert np.array_equal(separated, want_s), trial
+
+
+def test_quartet_relations_boundaries():
+    # 01|23 with within-pair 0.25 and cross 0.5: F(01|23) = 0.25 exactly
+    dist = np.full((4, 4), 0.5)
+    dist[0, 1] = dist[1, 0] = dist[2, 3] = dist[3, 2] = 0.25
+    np.fill_diagonal(dist, 0.0)
+    accepted = lambda gate, f_min: _quartet_relations(dist, gate, f_min)[0].any()
+    # a four-point value equal to f_min/2 is refused (strict >)
+    assert not accepted(10.0, 0.5)
+    assert accepted(10.0, np.nextafter(0.5, 0.0))
+    # a worst distance equal to the gate is admitted
+    assert accepted(0.5, 0.25)
+    assert not accepted(np.nextafter(0.5, 0.0), 0.25)
+    # one +inf entry closes the quartet under any finite gate
+    for u, v in itertools.combinations(range(4), 2):
+        sat = dist.copy()
+        sat[u, v] = sat[v, u] = np.inf
+        assert not any(rel.any() for rel in _quartet_relations(sat, 1e300, 0.25))
 
 
 def relations_from_edges(m, edges):
@@ -172,25 +187,31 @@ def test_matching_respects_separation():
 
 
 def test_identify_cherries_from_splits():
-    splits = [QuartetSplit.of((1, 2), (3, 4)),
-              QuartetSplit.of((3, 4), (5, 6)),
-              QuartetSplit.of((1, 2), (5, 6)),
-              QuartetSplit.undetermined()]
-    assert identify_cherries(splits, [1, 2, 3, 4, 5, 6]) == \
-        [(1, 2), (3, 4), (5, 6)]
+    # three cherries 01, 23, 45 under one star; cross distances 0.5
+    dist = np.full((6, 6), 0.5)
+    for a in (0, 2, 4):
+        dist[a, a + 1] = dist[a + 1, a] = 0.2
+    np.fill_diagonal(dist, 0.0)
+    together, separated = _quartet_relations(dist, 10.0, 0.1)
+    assert _matching_from_relations(together, separated) == [(0, 1), (2, 3), (4, 5)]
 
 
 def test_identify_cherries_failure_modes():
-    with pytest.raises(ValueError):
-        identify_cherries([], [1, 2, 3])
-    # two vertices pair up unconditionally
-    assert identify_cherries([], ["x", "y"]) == [("x", "y")]
+    # star metric: no split is accepted, so there is no evidence
+    star = np.full((4, 4), 0.5)
+    np.fill_diagonal(star, 0.0)
     with pytest.raises(CherryMatchingError):
-        identify_cherries([], [1, 2, 3, 4])  # no splits, no evidence
-    # contradictory split pair: every candidate is also separated
-    splits = [QuartetSplit.of((1, 2), (3, 4)), QuartetSplit.of((1, 3), (2, 4))]
+        _matching_from_relations(*_quartet_relations(star, 10.0, 0.1))
+    # one quartet accepting two pairings (01|23 from y - x = 0.5 and
+    # 03|12 from x - z = 0.5): every candidate is also separated
+    dist = np.array([[0.0, 0.5, 0.75, 0.25],
+                     [0.5, 0.0, 0.25, 0.75],
+                     [0.75, 0.25, 0.0, 0.5],
+                     [0.25, 0.75, 0.5, 0.0]])
+    together, separated = _quartet_relations(dist, 10.0, 0.2)
+    assert together[0, 1] and together[0, 3] and separated[0, 1]
     with pytest.raises(CherryMatchingError) as exc:
-        identify_cherries(splits, [1, 2, 3, 4])
+        _matching_from_relations(together, separated)
     assert exc.value.candidates == []
 
 

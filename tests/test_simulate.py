@@ -199,5 +199,8 @@ def test_alignment_file_roundtrip(tmp_path):
 def test_read_alignment_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("no header here\n1 2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed alignment header"):
+        read_alignment(path)
+    path.write_text("q=2 k=2\nx\t1 2\n")
+    with pytest.raises(ValueError, match="node name 'x' is not an integer"):
         read_alignment(path)
