@@ -1,4 +1,7 @@
-"""Ancestral state reconstruction at the root of a homogeneous subtree.
+"""Root-state estimators for a homogeneous subtree: diluted, majority
+and the exact posterior, each a batch function over rows of leaf states
+with a one-row scalar form.  Their Monte Carlo evaluation (error
+channel, dilution calibration, accuracy) lives in ``experiments``.
 
 The workhorse beyond the linear regime is the diluted-subtree estimator:
 state i is a candidate for the root when the tree contains an l-diluted
@@ -17,14 +20,11 @@ padding is applied arithmetically rather than by materialising copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError
-from .model import G_PERC, RateModel, delta_from_tau, transition_matrix
-from .simulate import potts_batch_sample
-from .tree import Phylogeny, homogeneous_phylogeny
+from .model import RateModel, delta_from_tau, transition_matrix
+from .tree import Phylogeny
 
 _BOOL_BUDGET = 1 << 25   # chunk one-hot work below ~32 MB
 
@@ -86,41 +86,42 @@ def diluted_tree_event(leaf_states, state: int, l: int) -> bool:
     return bool(diluted_state_sets(leaf_states, q, l)[int(state)])
 
 
-def _pick_outside(x: np.ndarray, q: int, rng) -> np.ndarray:
-    """Uniform draw from {0..q-1} minus {x_i}, elementwise."""
-    y = rng.integers(q - 1, size=x.shape)
-    return y + (y >= x)
+def _rows_per_chunk(q: int, n: int) -> int:
+    """Rows of n leaves whose (rows, q, n) one-hot work fits the budget."""
+    return max(1, _BOOL_BUDGET // max(1, q * n))
+
+
+def _diluted_guesses(sets: np.ndarray, rng) -> np.ndarray:
+    """Guess-and-keep draw per row of (B, q) candidate indicators: a
+    uniform state, kept when it is a candidate, otherwise replaced by a
+    uniform draw from the other q-1 states."""
+    n_rows, q = sets.shape
+    x = rng.integers(q, size=n_rows)
+    y = rng.integers(q - 1, size=n_rows)
+    return np.where(sets[np.arange(n_rows), x], x, y + (y >= x))
 
 
 def diluted_root_estimator(leaf_states, q: int, l: int, rng) -> int:
     """Guess a uniform state; keep it when it is a diluted candidate,
     otherwise answer uniformly among the remaining q-1 states."""
-    sets = diluted_state_sets(np.asarray(leaf_states), q, l)
-    x = int(rng.integers(q))
-    if sets[x]:
-        return x
-    return int(_pick_outside(np.array(x), q, rng))
+    return int(diluted_estimates(np.asarray(leaf_states)[None, :], q, l, rng)[0])
 
 
 def diluted_estimates(leaf_batch: np.ndarray, q: int, l: int, rng) -> np.ndarray:
     """Vectorised diluted_root_estimator over rows of (B, n)."""
     n_rows, n = leaf_batch.shape
-    chunk = max(1, _BOOL_BUDGET // max(1, q * n))
+    chunk = _rows_per_chunk(q, n)
     out = np.empty(n_rows, dtype=np.int32)
     for start in range(0, n_rows, chunk):
-        rows = leaf_batch[start:start + chunk]
-        sets = diluted_state_sets(rows, q, l)
-        x = rng.integers(q, size=rows.shape[0])
-        keep = sets[np.arange(rows.shape[0]), x]
-        out[start:start + chunk] = np.where(keep, x, _pick_outside(x, q, rng))
+        sets = diluted_state_sets(leaf_batch[start:start + chunk], q, l)
+        out[start:start + chunk] = _diluted_guesses(sets, rng)
     return out
 
 
 def majority_root_estimator(leaf_states, rng) -> int:
     """Plurality vote with uniform tie-breaking."""
-    counts = np.bincount(np.asarray(leaf_states))
-    winners = np.flatnonzero(counts == counts.max())
-    return int(winners[rng.integers(len(winners))])
+    leaf_states = np.asarray(leaf_states)
+    return int(majority_estimates(leaf_states[None, :], int(leaf_states.max()) + 1, rng)[0])
 
 
 def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
@@ -130,115 +131,6 @@ def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
     np.add.at(counts, (np.arange(n_rows)[:, None], leaf_batch), 1.0)
     # Sub-unit noise turns argmax into a uniform tie-break.
     return np.argmax(counts + rng.random(counts.shape), axis=1).astype(np.int32)
-
-
-# ---------------------------------------------------------------------------
-# Error channel of the diluted estimator
-
-
-@dataclass
-class ErrorChannelEstimate:
-    """Monte Carlo estimate of P[estimate = j | root = i].
-
-    ``b_hat`` is the length of the symmetric channel fitted to the mean
-    diagonal; ``b_bar`` is the calibration cap -ln(eps/(2(q-1))) from the
-    measured candidate frequency eps_hat.
-    """
-
-    matrix: np.ndarray
-    b_hat: float
-    b_bar: float
-    sample_count: int
-    counts: np.ndarray = field(repr=False, default=None)
-    eps_hat: float = float("nan")
-    no_signal: bool = False
-
-
-def estimate_error_channel(phy: Phylogeny, q: int, l: int, trials: int, rng,
-                           batch_size: int = 4000) -> ErrorChannelEstimate:
-    """Sample the symmetric model on ``phy`` and tabulate the diluted
-    estimator's conditional law given the true root state."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    counts = np.zeros((q, q), dtype=np.int64)
-    eps_count = 0
-    done = 0
-    n = phy.n_leaves
-    batch_size = max(1, min(batch_size, _BOOL_BUDGET // max(1, q * n)))
-    while done < trials:
-        b = min(batch_size, trials - done)
-        states = potts_batch_sample(phy, q, b, rng)
-        roots = states[:, 0]
-        leaves = states[:, phy.first_leaf:]
-        sets = diluted_state_sets(leaves, q, l)
-        x = rng.integers(q, size=b)
-        keep = sets[np.arange(b), x]
-        est = np.where(keep, x, _pick_outside(x, q, rng))
-        np.add.at(counts, (roots, est), 1)
-        eps_count += int(sets[np.arange(b), roots].sum())
-        done += b
-    row_tot = counts.sum(axis=1, keepdims=True)
-    matrix = counts / np.maximum(row_tot, 1)
-    diag = float(np.mean(np.diag(matrix)))
-    arg = 1.0 - q * (1.0 - diag) / (q - 1.0)
-    b_hat = -math.log(arg) if arg > 0 else math.inf
-    eps_hat = eps_count / trials
-    b_bar = -math.log(eps_hat / (2.0 * (q - 1.0))) if eps_hat > 0 else math.inf
-    return ErrorChannelEstimate(matrix=matrix, b_hat=b_hat, b_bar=b_bar,
-                                sample_count=trials, counts=counts,
-                                eps_hat=eps_hat, no_signal=diag <= 1.0 / q)
-
-
-@dataclass
-class CalibrationResult:
-    l: int
-    eps_hat: float
-    fp_hat: float
-    table: list   # (l, eps_hat, fp_hat) per attempted l
-
-
-def calibrate_dilution(q: int, g: float, h_max: int, rng,
-                       l_max: int = 6, trials: int = 10000) -> CalibrationResult:
-    """Smallest l whose empirical candidate frequencies separate.
-
-    For each l the symmetric model is simulated on the depth-``h_max``
-    tree with every edge length g; eps_hat estimates the frequency of
-    the true root state being a candidate and fp_hat the frequency for
-    any fixed wrong state.  l is accepted when the true-candidate count
-    is at least 100 (eps_hat ten sigma above zero, so a decaying
-    transient that would vanish a few levels deeper cannot sneak in)
-    and fp_hat <= eps_hat / 2.  Calibrate at the deepest scale you plan
-    to reconstruct: a too-small l can look alive on shallow trees.
-    """
-    if not 0 < g < G_PERC:
-        raise ValueError(f"calibration requires 0 < g < ln 2, got {g}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    phy = homogeneous_phylogeny(h_max, g)
-    n = phy.n_leaves
-    batch_size = max(1, _BOOL_BUDGET // max(1, q * n))
-    table = []
-    for l in range(1, l_max + 1):
-        hits = 0
-        false_hits = 0
-        done = 0
-        while done < trials:
-            b = min(batch_size, trials - done)
-            states = potts_batch_sample(phy, q, b, rng)
-            roots = states[:, 0]
-            sets = diluted_state_sets(states[:, phy.first_leaf:], q, l)
-            true_hits = sets[np.arange(b), roots]
-            hits += int(true_hits.sum())
-            false_hits += int(sets.sum()) - int(true_hits.sum())
-            done += b
-        eps_hat = hits / trials
-        fp_hat = false_hits / (trials * (q - 1))
-        table.append((l, eps_hat, fp_hat))
-        if hits >= 100 and fp_hat <= eps_hat / 2:
-            return CalibrationResult(l=l, eps_hat=eps_hat, fp_hat=fp_hat, table=table)
-    raise CalibrationError(
-        f"no l in 1..{l_max} separated the candidate frequencies "
-        f"(q={q}, g={g}, depth={h_max})", table=table)
 
 
 # ---------------------------------------------------------------------------

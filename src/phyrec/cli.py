@@ -32,8 +32,8 @@ from .model import (G_LIN, G_PERC, delta_from_tau, load_rate_model,
 from .newick import parse_newick, read_newick_file, to_newick
 from .reconstruct import (ReconstructionParams, _quartet_relations,
                           auto_reconstruction_params, reconstruct_homogeneous)
-from .simulate import (exact_leaf_distribution, read_alignment,
-                       sample_alignment, write_alignment)
+from .simulate import (exact_leaf_distribution, potts_batch_sample,
+                       read_alignment, sample_alignment, write_alignment)
 from .tree import (Phylogeny, Topology, homogeneous_phylogeny,
                    random_homogeneous_phylogeny, robinson_foulds,
                    topologies_equal, unroot)
@@ -116,7 +116,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed)
     phy = _load_tree(args.tree)
     model = _model_from(args)
-    align = sample_alignment(phy, model, args.k, rng, sampler=args.sampler)
+    align = sample_alignment(phy, model, args.k, rng)
     comments = _header_lines(args, seed)
     if args.out:
         write_alignment(args.out, align, comments=comments)
@@ -367,14 +367,16 @@ def _check_sampler_agreement(rng):
     law = exact_leaf_distribution(phy, model).reshape(-1)
     n_samples = 20000
     bound = (law.size - 1) + 6 * math.sqrt(2 * (law.size - 1))
-    stats = {}
     powers = 3 ** np.arange(3, -1, -1)
-    for sampler in ("broadcast", "cluster"):
-        align = sample_alignment(phy, model, n_samples, rng, sampler=sampler)
-        idx = align.states @ powers
-        observed = np.bincount(idx, minlength=law.size)
+    # leaf positions follow labels on this tree, so both share the law's axes
+    samples = {"broadcast": sample_alignment(phy, model, n_samples, rng).states,
+               "potts-batch": potts_batch_sample(phy, 3, n_samples,
+                                                 rng)[:, phy.first_leaf:]}
+    stats = {}
+    for name, leaves in samples.items():
+        observed = np.bincount(leaves @ powers, minlength=law.size)
         expected = law * n_samples
-        stats[sampler] = float(((observed - expected) ** 2 / expected).sum())
+        stats[name] = float(((observed - expected) ** 2 / expected).sum())
     ok = all(s < bound for s in stats.values())
     detail = ", ".join(f"{k} chi2={v:.1f}" for k, v in stats.items())
     return ok, f"{detail} (bound {bound:.1f})"
@@ -506,8 +508,6 @@ def _build_parser():
     p.add_argument("--q", type=int, help="alphabet size of the symmetric model")
     p.add_argument("--model", help="rate-model config file (GTR)")
     p.add_argument("--k", type=int, required=True, help="number of sites")
-    p.add_argument("--sampler", choices=("broadcast", "cluster"),
-                   default="broadcast")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output alignment file (default stdout)")
 

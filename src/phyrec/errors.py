@@ -19,10 +19,6 @@ class InvalidModelError(PhyrecError):
         super().__init__("; ".join(self.diagnostics))
 
 
-class UnsupportedModelError(PhyrecError):
-    """An operation restricted to symmetric (Potts) models got something else."""
-
-
 class NewickError(PhyrecError, ValueError):
     """Malformed Newick input.  ``pos`` is a character offset when known."""
 

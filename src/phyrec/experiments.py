@@ -1,4 +1,9 @@
-"""Monte Carlo drivers: success sweeps, accuracy sweeps, probes.
+"""Monte Carlo drivers: success and accuracy sweeps, the diluted
+estimator's error channel and dilution calibration, probes.
+
+Every symmetric-model Monte Carlo run draws its samples through one
+batch loop (``_potts_batches``), and both sweeps run through one
+resumable grid driver (``_sweep``).
 
 Reproducibility contract: every cell of a sweep derives its generator
 from the master seed and the cell's grid coordinates through
@@ -15,14 +20,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .asr import diluted_estimates, majority_estimates, _posterior_batch
-from .errors import ReconstructionError
-from .model import potts_rate_matrix
+from .asr import (_diluted_guesses, _posterior_batch, _rows_per_chunk,
+                  diluted_estimates, diluted_state_sets, majority_estimates)
+from .errors import CalibrationError, ReconstructionError
+from .model import G_PERC, potts_rate_matrix
 from .reconstruct import (ReconstructionParams, auto_reconstruction_params,
                           reconstruct_homogeneous)
 from .simulate import (exact_leaf_distribution, potts_batch_sample,
@@ -124,39 +131,12 @@ def _ptr_cell(cfg: SweepConfig, index: int, q, tau, h, k, l, estimator) -> dict:
             "seconds": round(time.perf_counter() - t0, 3)}
 
 
-def _ptr_cell_packed(args):
-    return _ptr_cell(*args)
-
-
-def ptr_success_sweep(cfg: SweepConfig) -> list[dict]:
-    """Topology-reconstruction success rate over the (q, tau, h, k) grid.
-
-    A trial succeeds when the reconstructed topology equals the true
-    unrooted one; reconstruction failures score as misses.  Rows are
-    appended to ``cfg.out`` (resumable) when set, and returned.
-    """
-    cells = [(index, q, tau, h, k, l, est)
-             for index, (q, tau, h, k, l, est) in enumerate(
-                 product(cfg.q_values, cfg.tau_values, cfg.h_values,
-                         cfg.k_values, cfg.l_values, cfg.estimators))]
-    key_of = lambda row: (str(row["q"]), str(row["tau"]), str(row["h"]),
-                          str(row["k"]), str(row["l"]), str(row["estimator"]))
-    done = _load_done(cfg.out, PTR_FIELDS, key_of)
-    todo = [c for c in cells
-            if (str(c[1]), str(c[2]), str(c[3]), str(c[4]), str(c[5]), str(c[6])) not in done]
-    rows = []
-    if cfg.jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for row in pool.map(_ptr_cell_packed,
-                                [(cfg, *cell) for cell in todo]):
-                rows.append(row)
-                _append_row(cfg.out, PTR_FIELDS, row, cfg.comments)
-    else:
-        for cell in todo:
-            row = _ptr_cell(cfg, *cell)
-            rows.append(row)
-            _append_row(cfg.out, PTR_FIELDS, row, cfg.comments)
-    return rows
+def _potts_batches(phy: Phylogeny, q: int, trials: int, batch: int, rng):
+    """Yield (roots, leaves) for ``trials`` symmetric-model samples on
+    ``phy``, at most ``batch`` at a time; leaves are in position order."""
+    for start in range(0, trials, batch):
+        states = potts_batch_sample(phy, q, min(batch, trials - start), rng)
+        yield states[:, 0], states[:, phy.first_leaf:]
 
 
 def asr_outcomes(q: int, tau: float, h: int, l: int, estimator: str,
@@ -166,11 +146,7 @@ def asr_outcomes(q: int, tau: float, h: int, l: int, estimator: str,
     model = potts_rate_matrix(q) if estimator == "posterior" else None
     out = np.empty(trials, dtype=np.int8)
     done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        states = potts_batch_sample(phy, q, b, rng)
-        roots = states[:, 0]
-        leaves = states[:, phy.first_leaf:]
+    for roots, leaves in _potts_batches(phy, q, trials, batch, rng):
         if estimator == "diluted":
             guesses = diluted_estimates(leaves, q, l, rng)
         elif estimator == "majority":
@@ -178,37 +154,152 @@ def asr_outcomes(q: int, tau: float, h: int, l: int, estimator: str,
         elif estimator == "posterior":
             guesses = np.argmax(_posterior_batch(phy, model, leaves), axis=1)
         elif estimator == "uniform":
-            guesses = rng.integers(q, size=b)
+            guesses = rng.integers(q, size=len(roots))
         else:
             raise ValueError(f"unknown estimator {estimator!r}")
-        out[done:done + b] = guesses == roots
-        done += b
+        out[done:done + len(roots)] = guesses == roots
+        done += len(roots)
     return out
+
+
+def _asr_cell(cfg: SweepConfig, index: int, estimator, q, tau, h, l) -> dict:
+    outcomes = asr_outcomes(q, tau, h, l, estimator, cfg.trials,
+                            cell_rng(cfg.seed, index))
+    acc = float(outcomes.mean())
+    return {"estimator": estimator, "q": q, "tau": tau, "h": h, "l": l,
+            "trials": cfg.trials, "successes": int(outcomes.sum()),
+            "accuracy": acc, "stderr": math.sqrt(acc * (1 - acc) / cfg.trials)}
+
+
+def ptr_success_sweep(cfg: SweepConfig) -> list[dict]:
+    """Topology-reconstruction success rate over the (q, tau, h, k) grid.
+
+    A trial succeeds when the reconstructed topology equals the true
+    unrooted one; reconstruction failures score as misses.  Rows are
+    appended to ``cfg.out`` (resumable) when set, and returned.
+    """
+    return _sweep(cfg, PTR_FIELDS, _ptr_cell,
+                  ("q", "tau", "h", "k", "l", "estimator"))
 
 
 def asr_accuracy_sweep(cfg: SweepConfig) -> list[dict]:
     """Root-estimation accuracy over (estimator, q, tau, h, l) cells."""
-    cells = [(index, est, q, tau, h, l)
-             for index, (est, q, tau, h, l) in enumerate(
-                 product(cfg.estimators, cfg.q_values, cfg.tau_values,
-                         cfg.h_values, cfg.l_values))]
-    key_of = lambda row: (str(row["estimator"]), str(row["q"]), str(row["tau"]),
-                          str(row["h"]), str(row["l"]))
-    done = _load_done(cfg.out, ASR_FIELDS, key_of)
+    return _sweep(cfg, ASR_FIELDS, _asr_cell, ("estimator", "q", "tau", "h", "l"))
+
+
+def _sweep(cfg: SweepConfig, fields, cell, keys) -> list[dict]:
+    """Run ``cell(cfg, index, *values)`` over the product of the grid
+    axes named by ``keys``, skipping cells whose ``keys`` columns are
+    already in ``cfg.out``; ``index`` is the cell's place in the full
+    product, which seeds it.  Rows are appended to the file as they
+    arrive, from ``cfg.jobs`` worker processes when above one."""
+    axes = {"q": cfg.q_values, "tau": cfg.tau_values, "h": cfg.h_values,
+            "k": cfg.k_values, "l": cfg.l_values, "estimator": cfg.estimators}
+    done = _load_done(cfg.out, fields, keys)
+    todo = [(index, *values)
+            for index, values in enumerate(product(*(axes[key] for key in keys)))
+            if tuple(map(str, values)) not in done]
+    parallel = cfg.jobs > 1 and len(todo) > 1
     rows = []
-    for index, est, q, tau, h, l in cells:
-        if (str(est), str(q), str(tau), str(h), str(l)) in done:
-            continue
-        rng = cell_rng(cfg.seed, index)
-        outcomes = asr_outcomes(q, tau, h, l, est, cfg.trials, rng)
-        acc = float(outcomes.mean())
-        row = {"estimator": est, "q": q, "tau": tau, "h": h, "l": l,
-               "trials": cfg.trials, "successes": int(outcomes.sum()),
-               "accuracy": acc,
-               "stderr": math.sqrt(acc * (1 - acc) / cfg.trials)}
-        rows.append(row)
-        _append_row(cfg.out, ASR_FIELDS, row, cfg.comments)
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if parallel else nullcontext() as pool:
+        mapper = pool.map if parallel else map
+        for row in mapper(cell, [cfg] * len(todo), *zip(*todo)):
+            rows.append(row)
+            _append_row(cfg.out, fields, row, cfg.comments)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Error channel of the diluted estimator
+
+
+@dataclass
+class ErrorChannelEstimate:
+    """Monte Carlo estimate of P[estimate = j | root = i].
+
+    ``b_hat`` is the length of the symmetric channel fitted to the mean
+    diagonal; ``b_bar`` is the calibration cap -ln(eps/(2(q-1))) from the
+    measured candidate frequency eps_hat.
+    """
+
+    matrix: np.ndarray
+    b_hat: float
+    b_bar: float
+    sample_count: int
+    counts: np.ndarray = field(repr=False, default=None)
+    eps_hat: float = float("nan")
+    no_signal: bool = False
+
+
+def estimate_error_channel(phy: Phylogeny, q: int, l: int, trials: int, rng,
+                           batch_size: int = 4000) -> ErrorChannelEstimate:
+    """Sample the symmetric model on ``phy`` and tabulate the diluted
+    estimator's conditional law given the true root state."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    counts = np.zeros((q, q), dtype=np.int64)
+    eps_count = 0
+    batch = max(1, min(batch_size, _rows_per_chunk(q, phy.n_leaves)))
+    for roots, leaves in _potts_batches(phy, q, trials, batch, rng):
+        sets = diluted_state_sets(leaves, q, l)
+        np.add.at(counts, (roots, _diluted_guesses(sets, rng)), 1)
+        eps_count += int(sets[np.arange(len(roots)), roots].sum())
+    row_tot = counts.sum(axis=1, keepdims=True)
+    matrix = counts / np.maximum(row_tot, 1)
+    diag = float(np.mean(np.diag(matrix)))
+    arg = 1.0 - q * (1.0 - diag) / (q - 1.0)
+    b_hat = -math.log(arg) if arg > 0 else math.inf
+    eps_hat = eps_count / trials
+    b_bar = -math.log(eps_hat / (2.0 * (q - 1.0))) if eps_hat > 0 else math.inf
+    return ErrorChannelEstimate(matrix=matrix, b_hat=b_hat, b_bar=b_bar,
+                                sample_count=trials, counts=counts,
+                                eps_hat=eps_hat, no_signal=diag <= 1.0 / q)
+
+
+@dataclass
+class CalibrationResult:
+    l: int
+    eps_hat: float
+    fp_hat: float
+    table: list   # (l, eps_hat, fp_hat) per attempted l
+
+
+def calibrate_dilution(q: int, g: float, h_max: int, rng,
+                       l_max: int = 6, trials: int = 10000) -> CalibrationResult:
+    """Smallest l whose empirical candidate frequencies separate.
+
+    For each l the symmetric model is simulated on the depth-``h_max``
+    tree with every edge length g; eps_hat estimates the frequency of
+    the true root state being a candidate and fp_hat the frequency for
+    any fixed wrong state.  l is accepted when the true-candidate count
+    is at least 100 (eps_hat ten sigma above zero, so a decaying
+    transient that would vanish a few levels deeper cannot sneak in)
+    and fp_hat <= eps_hat / 2.  Calibrate at the deepest scale you plan
+    to reconstruct: a too-small l can look alive on shallow trees.
+    """
+    if not 0 < g < G_PERC:
+        raise ValueError(f"calibration requires 0 < g < ln 2, got {g}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    phy = homogeneous_phylogeny(h_max, g)
+    batch = _rows_per_chunk(q, phy.n_leaves)
+    table = []
+    for l in range(1, l_max + 1):
+        hits = 0
+        false_hits = 0
+        for roots, leaves in _potts_batches(phy, q, trials, batch, rng):
+            sets = diluted_state_sets(leaves, q, l)
+            true_hits = int(sets[np.arange(len(roots)), roots].sum())
+            hits += true_hits
+            false_hits += int(sets.sum()) - true_hits
+        eps_hat = hits / trials
+        fp_hat = false_hits / (trials * (q - 1))
+        table.append((l, eps_hat, fp_hat))
+        if hits >= 100 and fp_hat <= eps_hat / 2:
+            return CalibrationResult(l=l, eps_hat=eps_hat, fp_hat=fp_hat, table=table)
+    raise CalibrationError(
+        f"no l in 1..{l_max} separated the candidate frequencies "
+        f"(q={q}, g={g}, depth={h_max})", table=table)
 
 
 def bootstrap_decreasing_probability(outcome_vectors, n_boot: int, rng) -> float:
@@ -359,7 +450,8 @@ def find_min_k(q: int, tau: float, h: int, target_rate: float, rng,
 # CSV plumbing
 
 
-def _load_done(path, fields, key_of) -> set:
+def _load_done(path, fields, keys) -> set:
+    """The ``keys`` columns, as strings, of every row already in ``path``."""
     if not path or not os.path.exists(path):
         return set()
     done = set()
@@ -368,7 +460,7 @@ def _load_done(path, fields, key_of) -> set:
             line for line in handle if not line.startswith("#"))
         for row in reader:
             if row.get(fields[0]) is not None:
-                done.add(key_of(row))
+                done.add(tuple(row[key] for key in keys))
     return done
 
 

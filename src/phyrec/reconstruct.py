@@ -49,12 +49,12 @@ class ReconstructionParams:
     def __post_init__(self):
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
-        if self.W <= 5:
-            raise ValueError(f"W must exceed 5, got {self.W}")
+        if not (math.isfinite(self.W) and self.W > 5):
+            raise ValueError(f"W must be finite and exceed 5, got {self.W}")
         if self.f_min <= 0:
             raise ValueError(f"f_min must be > 0, got {self.f_min}")
-        if not self.D > 0:
-            raise ValueError(f"D must be > 0, got {self.D}")
+        if not (math.isfinite(self.D) and self.D > 0):
+            raise ValueError(f"D must be finite and > 0, got {self.D}")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}")
 

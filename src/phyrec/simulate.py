@@ -1,11 +1,10 @@
 """Sampling site patterns on phylogenies, plus the exact leaf law.
 
-Two independent mechanisms generate data for symmetric models and are
-tested against each other: edge-by-edge broadcasting through transition
-matrices, and the random-cluster picture (percolate edges, colour the
-clusters uniformly).  ``potts_batch_sample`` is a vectorised
-copy-or-refresh sampler for symmetric models used by the Monte Carlo
-drivers; it is validated against the exact law like the other two.
+``sample_alignment`` broadcasts sites edge by edge through the
+transition matrices of any rate model.  ``potts_batch_sample`` is the
+vectorised copy-or-refresh sampler for symmetric models that the Monte
+Carlo drivers use.  Both are tested against the exact leaf law, and
+against the random-cluster mechanism kept in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationTooLargeError, UnsupportedModelError
+from .errors import EnumerationTooLargeError
 from .model import RateModel, transition_matrix
 from .tree import Phylogeny
 
@@ -48,43 +47,12 @@ class Alignment:
         return self.states[:, self.node_ids.index(node_id)]
 
 
-class _DisjointSets:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:   # compress the walked path
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def _categorical_rows(prob_rows: np.ndarray, rng) -> np.ndarray:
     """Draw one sample per row of a stack of probability vectors."""
     cum = np.cumsum(prob_rows, axis=1)
     cum[:, -1] = 1.0
     u = rng.random(prob_rows.shape[0])
     return (cum < u[:, None]).sum(axis=1)
-
-
-def broadcast_sample(phy: Phylogeny, model: RateModel, rng) -> np.ndarray:
-    """States at every node: root from pi, then each child through the
-    transition matrix of its edge.  Returns a length-n_nodes vector."""
-    return _broadcast_sites(phy, model, 1, rng)[0]
 
 
 def _broadcast_sites(phy: Phylogeny, model: RateModel, k: int, rng) -> np.ndarray:
@@ -100,23 +68,6 @@ def _broadcast_sites(phy: Phylogeny, model: RateModel, k: int, rng) -> np.ndarra
         parent_states = states[:, Phylogeny.parent(v)]
         states[:, v] = _categorical_rows(matrices[tau][parent_states], rng)
     return states
-
-
-def random_cluster_sample(phy: Phylogeny, q: int, rng) -> np.ndarray:
-    """States at every node via the random-cluster mechanism.
-
-    Each edge of length tau is open with probability exp(-tau); the
-    connected clusters of open edges get independent uniform colours.
-    For the symmetric model this has exactly the broadcast law.
-    """
-    n = phy.n_nodes
-    dsu = _DisjointSets(n)
-    open_edge = rng.random(n) < np.exp(-phy.edge_tau)
-    for v in range(1, n):
-        if open_edge[v]:
-            dsu.union(v, Phylogeny.parent(v))
-    colours = rng.integers(q, size=n)
-    return np.array([colours[dsu.find(v)] for v in range(n)], dtype=np.int32)
 
 
 def potts_batch_sample(phy: Phylogeny, q: int, n_samples: int, rng) -> np.ndarray:
@@ -136,25 +87,18 @@ def potts_batch_sample(phy: Phylogeny, q: int, n_samples: int, rng) -> np.ndarra
 
 
 def sample_alignment(phy: Phylogeny, model: RateModel, k: int, rng,
-                     sampler: str = "broadcast", keep_internal: bool = False):
+                     keep_internal: bool = False):
     """Sample k i.i.d. sites and return the leaf alignment.
 
-    Leaf columns are ordered by label 1..n.  With ``keep_internal`` the
-    full node-indexed state matrix (k, n_nodes) is returned alongside as
-    hidden truth; it is never consumed by reconstruction code.
+    The root state is drawn from pi, then each child through the
+    transition matrix of its edge.  Leaf columns are ordered by label
+    1..n.  With ``keep_internal`` the full node-indexed state matrix
+    (k, n_nodes) is returned alongside as hidden truth; it is never
+    consumed by reconstruction code.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if sampler == "broadcast":
-        full = _broadcast_sites(phy, model, k, rng)
-    elif sampler == "cluster":
-        if not model.is_symmetric:
-            raise UnsupportedModelError(
-                "the random-cluster sampler requires a symmetric model")
-        full = np.stack([random_cluster_sample(phy, model.q, rng) for _ in range(k)]) \
-            if k else np.empty((0, phy.n_nodes), dtype=np.int32)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
+    full = _broadcast_sites(phy, model, k, rng)
     order = np.argsort(phy.leaf_labels)  # column j <-> label j+1
     leaf_states = full[:, phy.first_leaf:][:, order]
     align = Alignment(list(range(1, phy.n_leaves + 1)), leaf_states, model.q)
@@ -234,7 +178,11 @@ def read_alignment(path) -> Alignment:
         except ValueError:
             raise ValueError(f"node name {name!r} is not an integer "
                              f"in alignment line {line!r}") from None
-        row = np.array(data.split(), dtype=np.int32) - 1
+        try:
+            row = np.array(data.split(), dtype=np.int32) - 1
+        except (ValueError, OverflowError):
+            raise ValueError(f"node {name}: states must be integers, "
+                             f"in alignment line {line!r}") from None
         if row.shape != (k,):
             raise ValueError(f"node {name}: expected {k} states, got {row.shape[0]}")
         rows.append(row)

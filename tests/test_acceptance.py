@@ -20,15 +20,13 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import chisquare
 
-from phyrec.asr import (
-    calibrate_dilution,
-    estimate_error_channel,
-    exact_root_posterior,
-)
+from phyrec.asr import exact_root_posterior
 from phyrec.errors import ReconstructionError
 from phyrec.experiments import (
     bootstrap_decreasing_probability,
+    calibrate_dilution,
     distinguishability_probe,
+    estimate_error_channel,
     homogeneous_phylogeny,
     pipeline_trial,
     random_homogeneous_phylogeny,
@@ -89,7 +87,50 @@ def test_01_closed_form_matches_matrix_exponential():
 
 
 # ---------------------------------------------------------------------------
-# 2. Both samplers against the exact leaf law
+# 2. The broadcast sampler and the random-cluster oracle against the
+#    exact leaf law
+
+
+class _DisjointSets:
+    """Union-find with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, v: int) -> int:
+        root = v
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[v] != root:   # compress the walked path
+            self.parent[v], v = root, self.parent[v]
+        return root
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def random_cluster_sample(phy: Phylogeny, q: int, rng) -> np.ndarray:
+    """States at every node via the random-cluster mechanism.
+
+    Each edge of length tau is open with probability exp(-tau); the
+    connected clusters of open edges get independent uniform colours.
+    For the symmetric model this has exactly the broadcast law.
+    """
+    n = phy.n_nodes
+    dsu = _DisjointSets(n)
+    open_edge = rng.random(n) < np.exp(-phy.edge_tau)
+    for v in range(1, n):
+        if open_edge[v]:
+            dsu.union(v, Phylogeny.parent(v))
+    colours = rng.integers(q, size=n)
+    return np.array([colours[dsu.find(v)] for v in range(n)], dtype=np.int32)
 
 
 def test_02_samplers_match_exact_leaf_law():
@@ -100,10 +141,13 @@ def test_02_samplers_match_exact_leaf_law():
     expected = exact_leaf_distribution(phy, model).reshape(-1) * k
     powers = 3 ** np.arange(phy.n_leaves - 1, -1, -1)
     rng = np.random.default_rng(20)
+    # leaf positions follow labels on this tree, so both share the law's axes
+    samples = {"broadcast": lambda: sample_alignment(phy, model, k, rng).states,
+               "cluster": lambda: np.stack([random_cluster_sample(phy, 3, rng)
+                                            for _ in range(k)])[:, phy.first_leaf:]}
     pvals = {}
-    for sampler in ("broadcast", "cluster"):
-        align = sample_alignment(phy, model, k, rng, sampler=sampler)
-        counts = np.bincount(align.states @ powers, minlength=expected.size)
+    for sampler, draw in samples.items():
+        counts = np.bincount(draw() @ powers, minlength=expected.size)
         pvals[sampler] = float(chisquare(counts, expected).pvalue)
     ok = all(p > 0.01 for p in pvals.values())
     assert _verdict(2, "sampler goodness of fit", ok, t0, "< 1 min",

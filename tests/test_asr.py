@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from phyrec.asr import (
-    CalibrationResult,
-    calibrate_dilution,
     diluted_estimates,
     diluted_root_estimator,
     diluted_state_sets,
     diluted_tree_event,
-    estimate_error_channel,
     exact_root_posterior,
     majority_estimates,
     majority_root_estimator,
 )
 from phyrec.errors import CalibrationError
+from phyrec.experiments import (
+    CalibrationResult,
+    calibrate_dilution,
+    estimate_error_channel,
+)
 from phyrec.model import potts_rate_matrix, transition_matrix, validate_gtr
 from phyrec.tree import Phylogeny, homogeneous_phylogeny, random_homogeneous_phylogeny
 

@@ -120,6 +120,14 @@ def test_reconstruct_failure_exits_two(tmp_path, capsys):
     assert "reconstruction failed" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_infinite_gate(tmp_path, capsys):
+    sites = tmp_path / "sites.tsv"
+    write_alignment(sites, Alignment([1, 2, 3, 4], np.zeros((5, 4), dtype=int), 2))
+    assert main(["reconstruct", "--align", str(sites), "--seed", "2",
+                 "--D", "inf"]) == EXIT_USAGE
+    assert "D must be finite" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_overrides(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"h": 2, "tau": 0.3, "seed": 5}))

@@ -104,6 +104,22 @@ def test_asr_accuracy_sweep_rows(tmp_path):
     assert asr_accuracy_sweep(cfg) == []  # resumable, same as ptr
 
 
+@pytest.mark.parametrize("sweep", [ptr_success_sweep, asr_accuracy_sweep])
+def test_parallel_sweep_matches_serial(tmp_path, sweep):
+    def run(jobs):
+        out = tmp_path / f"{sweep.__name__}-{jobs}.csv"
+        cfg = SweepConfig(q_values=(2,), tau_values=(0.2, 0.4), h_values=(2,),
+                          k_values=(300,), estimators=("majority",), trials=3,
+                          seed=29, out=str(out), jobs=jobs)
+        drop = lambda rows: [{k: v for k, v in r.items() if k != "seconds"}
+                             for r in rows]
+        return drop(sweep(cfg)), drop(read_rows(out))
+
+    serial, parallel = run(1), run(2)
+    assert len(serial[0]) == 2
+    assert parallel == serial
+
+
 def test_bootstrap_trend_probability():
     rng = np.random.default_rng(21)
     down = [np.repeat([1, 0], [80, 20]), np.repeat([1, 0], [50, 50]),

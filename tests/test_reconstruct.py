@@ -58,7 +58,9 @@ def test_params_validation():
     assert good.estimator == "diluted"
     for kwargs in [dict(l=0, D=1.0), dict(l=1, D=1.0, W=5.0),
                    dict(l=1, D=0.0), dict(l=1, D=1.0, f_min=0.0),
-                   dict(l=1, D=1.0, estimator="posterior")]:
+                   dict(l=1, D=1.0, estimator="posterior"),
+                   dict(l=1, D=math.inf), dict(l=1, D=math.nan),
+                   dict(l=1, D=1.0, W=math.inf), dict(l=1, D=1.0, W=math.nan)]:
         with pytest.raises(ValueError):
             ReconstructionParams(**kwargs)
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from phyrec.errors import EnumerationTooLargeError, UnsupportedModelError
+from phyrec.errors import EnumerationTooLargeError
 from phyrec.model import potts_rate_matrix, transition_matrix, validate_gtr
 from phyrec.simulate import (
     Alignment,
-    broadcast_sample,
     exact_leaf_distribution,
     potts_batch_sample,
-    random_cluster_sample,
     read_alignment,
     sample_alignment,
     write_alignment,
@@ -108,11 +106,10 @@ def test_samplers_match_exact_law():
     law = exact_leaf_distribution(phy, model)
     rng = np.random.default_rng(53)
     k = 20_000
-    for sampler in ("broadcast", "cluster"):
-        align = sample_alignment(phy, model, k, rng, sampler=sampler)
-        assert chisq_pvalue(align.states, law) > 1e-3
-    batch = potts_batch_sample(phy, 3, k, rng)
-    assert chisq_pvalue(batch[:, phy.first_leaf:], law) > 1e-3
+    # leaf positions follow labels on this tree, so both share the law's axes
+    for draw in (lambda: sample_alignment(phy, model, k, rng).states,
+                 lambda: potts_batch_sample(phy, 3, k, rng)[:, phy.first_leaf:]):
+        assert chisq_pvalue(draw(), law) > 1e-3
 
 
 def test_broadcast_handles_gtr_models():
@@ -120,33 +117,19 @@ def test_broadcast_handles_gtr_models():
     model = random_gtr_model(3, rng)
     phy = homogeneous_phylogeny(2, 0.5)
     law = exact_leaf_distribution(phy, model)
-    align = sample_alignment(phy, model, 20_000, rng, sampler="broadcast")
+    align = sample_alignment(phy, model, 20_000, rng)
     assert chisq_pvalue(align.states, law) > 1e-3
-
-
-def test_cluster_sampler_requires_symmetry():
-    rng = np.random.default_rng(55)
-    model = random_gtr_model(3, rng)
-    with pytest.raises(UnsupportedModelError):
-        sample_alignment(homogeneous_phylogeny(2, 0.3), model, 10, rng,
-                         sampler="cluster")
-
-
-def test_unknown_sampler_rejected():
-    rng = np.random.default_rng(56)
-    with pytest.raises(ValueError):
-        sample_alignment(homogeneous_phylogeny(1, 0.3), potts_rate_matrix(2),
-                         5, rng, sampler="exact")
 
 
 def test_degenerate_edges_copy_states():
     # tau = 0 everywhere: every node inherits the root state
     phy = homogeneous_phylogeny(3, 0.0)
     rng = np.random.default_rng(57)
-    for draw in (broadcast_sample(phy, potts_rate_matrix(4), rng),
-                 random_cluster_sample(phy, 4, rng)):
-        assert draw.shape == (phy.n_nodes,)
-        assert len(set(draw.tolist())) == 1
+    _, full = sample_alignment(phy, potts_rate_matrix(4), 20, rng,
+                               keep_internal=True)
+    for draw in (full, potts_batch_sample(phy, 4, 20, rng)):
+        assert draw.shape == (20, phy.n_nodes)
+        assert np.all(draw == draw[:, :1])
 
 
 def test_leaf_columns_follow_labels():
@@ -203,4 +186,8 @@ def test_read_alignment_rejects_garbage(tmp_path):
         read_alignment(path)
     path.write_text("q=2 k=2\nx\t1 2\n")
     with pytest.raises(ValueError, match="node name 'x' is not an integer"):
+        read_alignment(path)
+    path.write_text("q=2 k=3\n1\t1 2 a\n")
+    with pytest.raises(ValueError, match="node 1: states must be integers, "
+                                         "in alignment line '1.t1 2 a'"):
         read_alignment(path)
