@@ -26,9 +26,9 @@ from .reconstruct import (ReconstructionParams, auto_reconstruction_params,
                           reconstruct_internal_sequences)
 from .simulate import (Alignment, exact_leaf_distribution, potts_batch_sample,
                        read_alignment, sample_alignment, write_alignment)
-from .tree import (Phylogeny, Topology, TreeMetric, homogeneous_phylogeny,
-                   random_homogeneous_phylogeny, robinson_foulds,
-                   topologies_equal, tree_metric, unroot)
+from .tree import (Phylogeny, Topology, homogeneous_phylogeny,
+                   nested_topology, random_homogeneous_phylogeny,
+                   robinson_foulds, topologies_equal, tree_metric, unroot)
 
 __version__ = "0.1.0"
 

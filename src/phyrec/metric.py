@@ -26,21 +26,17 @@ from .tree import Phylogeny, tree_metric
 
 
 def estimate_distance(seq_u, seq_v, q: int) -> float:
-    """Channel-inverting distance between two aligned state sequences."""
-    seq_u = np.asarray(seq_u)
-    seq_v = np.asarray(seq_v)
+    """Channel-inverting distance between two aligned state sequences: a
+    one-pair call of ``pairwise_distance_matrix``, which refuses empty ones."""
+    seq_u, seq_v = np.asarray(seq_u), np.asarray(seq_v)
     if seq_u.shape != seq_v.shape or seq_u.ndim != 1:
         raise ValueError(
             f"sequences must be 1-d and of equal length, got {seq_u.shape} vs {seq_v.shape}")
-    if seq_u.size == 0:
-        raise ValueError("cannot estimate a distance from empty sequences")
-    mismatch = float(np.mean(seq_u != seq_v))
-    arg = 1.0 - q * mismatch / (q - 1.0)
-    return -math.log(arg) if arg > 0 else math.inf
+    return float(pairwise_distance_matrix(np.stack([seq_u, seq_v]), q)[0, 1])
 
 
 def pairwise_distance_matrix(seqs: np.ndarray, q: int) -> np.ndarray:
-    """All-pairs estimate_distance over the rows of (m, k).  Saturated
+    """Channel-inverting distances between all rows of (m, k).  Saturated
     entries are +inf; the diagonal is zero."""
     seqs = np.asarray(seqs)
     m, k = seqs.shape
@@ -104,11 +100,9 @@ def distance_concentration_check(phy: Phylogeny, model, k: int, D: float,
     Events are pooled over pairs and trials.
     """
     q = model.q
-    metric = tree_metric(phy)
-    first = phy.first_leaf
     order = np.argsort(phy.leaf_labels)
-    leaf_nodes = np.arange(first, phy.n_nodes)[order]
-    true_dist = metric.matrix[np.ix_(leaf_nodes, leaf_nodes)]
+    leaf_nodes = np.arange(phy.first_leaf, phy.n_nodes)[order]
+    true_dist = tree_metric(phy)[np.ix_(leaf_nodes, leaf_nodes)]
     iu = np.triu_indices(phy.n_leaves, 1)
     d_pairs = true_dist[iu]
     near_conc = d_pairs < D

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import NewickError
-from .tree import Phylogeny, Topology
+from .tree import Phylogeny, Topology, nested_topology
 
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _LABEL = re.compile(r"\d+")
@@ -154,6 +154,8 @@ def parse_newick(text: str):
     if root.label is not None:
         raise NewickError("a tree needs at least two leaves")
     degree = len(root.children)
+    if degree not in (2, 3):
+        raise NewickError(f"root must have 2 or 3 children, found {degree}")
     if degree == 2:
         lengths = []
         _edge_lengths(root, lengths)
@@ -162,10 +164,7 @@ def parse_newick(text: str):
             return _build_phylogeny(root)
         if any(have):
             raise NewickError("missing branch length on a rooted tree with lengths")
-        return _build_topology(root)
-    if degree == 3:
-        return _build_topology(root)
-    raise NewickError(f"root must have 2 or 3 children, found {degree}")
+    return _build_topology(root)
 
 
 def _build_phylogeny(root: _Node) -> Phylogeny:
@@ -202,38 +201,13 @@ def _build_phylogeny(root: _Node) -> Phylogeny:
 
 
 def _build_topology(root: _Node) -> Topology:
-    adj = {}
-    counter = [0]
-
-    def connect(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    def build(node):
+    def nest(node):
         if node.label is not None:
-            adj.setdefault(node.label, [])
             return node.label
-        if len(node.children) != 2:
-            raise NewickError(
-                f"non-binary internal node ({len(node.children)} children)")
-        counter[0] -= 1
-        me = counter[0]
-        for child, _ in node.children:
-            connect(me, build(child))
-        return me
+        return tuple(nest(child) for child, _ in node.children)
 
-    if len(root.children) == 2:
-        a = build(root.children[0][0])
-        b = build(root.children[1][0])
-        connect(a, b)
-    else:
-        counter[0] -= 1
-        me = counter[0]
-        for child, _ in root.children:
-            connect(me, build(child))
-    leaves = [v for v in adj if v > 0]
     try:
-        return Topology(adj, leaves)
+        return nested_topology(nest(root))
     except ValueError as exc:
         raise NewickError(str(exc)) from exc
 

@@ -6,8 +6,9 @@ every 4-subset (quartets failing the diameter gate are discarded),
 collects the accepted splits, and pairs up the vertices that only ever
 appear on the same side of accepted splits.  Each new parent gets a
 sequence reconstructed site-by-site from its descendant leaf data, and
-the sweep repeats one level up.  The merge history is returned as an
-unrooted topology.
+the sweep repeats one level up.  A vertex is carried as the tuple of its
+leaves and its shape as nested tuples; the last two vertices are joined
+by ``tree.nested_topology`` into the unrooted topology.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .asr import diluted_estimates, majority_estimates
 from .errors import CherryMatchingError
 from .metric import pairwise_distance_matrix
 from .simulate import Alignment
-from .tree import Topology
+from .tree import Topology, nested_topology
 
 _ESTIMATORS = ("diluted", "majority")
 
@@ -51,8 +52,8 @@ class ReconstructionParams:
             raise ValueError(f"l must be >= 1, got {self.l}")
         if not (math.isfinite(self.W) and self.W > 5):
             raise ValueError(f"W must be finite and exceed 5, got {self.W}")
-        if self.f_min <= 0:
-            raise ValueError(f"f_min must be > 0, got {self.f_min}")
+        if not (math.isfinite(self.f_min) and self.f_min > 0):
+            raise ValueError(f"f_min must be finite and > 0, got {self.f_min}")
         if not (math.isfinite(self.D) and self.D > 0):
             raise ValueError(f"D must be finite and > 0, got {self.D}")
         if self.estimator not in _ESTIMATORS:
@@ -212,14 +213,6 @@ def reconstruct_internal_sequences(parent_leaf_sets, align: Alignment, q: int,
     return out
 
 
-class _Vertex:
-    __slots__ = ("leaves", "children")
-
-    def __init__(self, leaves, children=None):
-        self.leaves = leaves          # descendant leaf labels, subtree order
-        self.children = children      # (left, right) _Vertex or None for a leaf
-
-
 def reconstruct_homogeneous(align: Alignment, q: int,
                             params: ReconstructionParams, rng,
                             metric_fn=None) -> Topology:
@@ -245,7 +238,9 @@ def reconstruct_homogeneous(align: Alignment, q: int,
     if align.k == 0 and metric_fn is None:
         raise ValueError("empty alignment requires a metric_fn hook")
 
-    entries = [_Vertex((lab,)) for lab in range(1, n + 1)]
+    # per vertex: its leaves in subtree order, and its shape as nested tuples
+    leaves = [(lab,) for lab in range(1, n + 1)]
+    shapes = list(range(1, n + 1))
     seqs = None
     if metric_fn is None:
         order = [align.node_ids.index(lab) for lab in range(1, n + 1)]
@@ -253,15 +248,14 @@ def reconstruct_homogeneous(align: Alignment, q: int,
     gate = params.D + math.log(params.W / 4.0)
 
     for level in range(h):
-        m = len(entries)
+        m = len(leaves)
         if m == 2:
             break
         if metric_fn is not None:
             dist = np.zeros((m, m))
             for i in range(m):
                 for j in range(i + 1, m):
-                    dist[i, j] = dist[j, i] = metric_fn(entries[i].leaves,
-                                                       entries[j].leaves)
+                    dist[i, j] = dist[j, i] = metric_fn(leaves[i], leaves[j])
         else:
             dist = pairwise_distance_matrix(seqs, q)
         together, separated = _quartet_relations(dist, gate, params.f_min)
@@ -271,39 +265,13 @@ def reconstruct_homogeneous(align: Alignment, q: int,
             raise CherryMatchingError(
                 f"cherry matching failed at level {level}: {exc}",
                 level=level,
-                candidates=[(entries[i].leaves, entries[j].leaves)
+                candidates=[(leaves[i], leaves[j])
                             for i, j in exc.candidates]) from None
-        entries = [_Vertex(entries[i].leaves + entries[j].leaves,
-                           (entries[i], entries[j]))
-                   for i, j in pairs]
+        leaves = [leaves[i] + leaves[j] for i, j in pairs]
+        shapes = [(shapes[i], shapes[j]) for i, j in pairs]
         if metric_fn is None:
-            new = reconstruct_internal_sequences(
-                [v.leaves for v in entries], align, q, params.l, rng,
-                estimator=params.estimator)
-            seqs = np.stack(new)
+            seqs = np.stack(reconstruct_internal_sequences(
+                leaves, align, q, params.l, rng, estimator=params.estimator))
 
-    return _merge_topology(entries[0], entries[1])
+    return nested_topology(tuple(shapes))
 
-
-def _merge_topology(left: _Vertex, right: _Vertex) -> Topology:
-    """Unrooted topology of the merge forest (root edge left-right)."""
-    adj = {}
-    counter = [0]
-
-    def connect(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    def emit(vx):
-        if vx.children is None:
-            adj.setdefault(vx.leaves[0], [])
-            return vx.leaves[0]
-        counter[0] -= 1
-        me = counter[0]
-        for child in vx.children:
-            connect(me, emit(child))
-        return me
-
-    connect(emit(left), emit(right))
-    leaves = [v for v in adj if v > 0]
-    return Topology(adj, leaves)

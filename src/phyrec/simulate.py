@@ -170,6 +170,8 @@ def read_alignment(path) -> Alignment:
         q, k = int(header["q"]), int(header["k"])
     except (KeyError, ValueError):
         raise ValueError(f"malformed alignment header {lines[0]!r}") from None
+    if q < 2 or k < 0:
+        raise ValueError(f"alignment header {lines[0]!r} needs q >= 2 and k >= 0")
     node_ids, rows = [], []
     for line in lines[1:]:
         name, _, data = line.partition("\t")
@@ -185,6 +187,9 @@ def read_alignment(path) -> Alignment:
                              f"in alignment line {line!r}") from None
         if row.shape != (k,):
             raise ValueError(f"node {name}: expected {k} states, got {row.shape[0]}")
+        if k and (row.min() < 0 or row.max() >= q):
+            raise ValueError(f"node {name}: states must lie in 1..{q}, "
+                             f"in alignment line {line!r}")
         rows.append(row)
     states = np.stack(rows, axis=1) if rows else np.empty((k, 0), dtype=np.int32)
     return Alignment(node_ids, states, q)

@@ -6,14 +6,18 @@ Nodes are indexed in level order: the root is 0 and node v has children
 2v+1 and 2v+2.  Leaf "position" p in 0..n-1 refers to node (2^h - 1) + p;
 ``leaf_labels[p]`` is the label displayed at that position.
 
+``tree_metric`` computes all path lengths from this index arithmetic.
+
 A Topology is the unrooted shape only: leaf labels plus adjacency, no
 edge lengths.  Internal topology nodes use negative ids so they can
-never collide with leaf labels.
+never collide with leaf labels.  ``nested_topology`` builds every
+Topology (unroot, Newick, reconstruction) from nested tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -66,10 +70,6 @@ class Phylogeny:
     def children(v: int) -> tuple[int, int]:
         return 2 * v + 1, 2 * v + 2
 
-    @staticmethod
-    def level_of(v: int) -> int:
-        return int(v + 1).bit_length() - 1
-
     def node_of_label(self, label: int) -> int:
         pos = int(np.nonzero(self.leaf_labels == label)[0][0])
         return self.first_leaf + pos
@@ -103,54 +103,29 @@ def random_homogeneous_phylogeny(h: int, f: float, g: float, rng) -> Phylogeny:
     return Phylogeny(h, edge_tau, labels)
 
 
-class TreeMetric:
-    """All-pairs path-length metric over every node of a phylogeny."""
+def tree_metric(phy: Phylogeny) -> np.ndarray:
+    """Additive tree metric over every node: the (n_nodes, n_nodes) array
+    of path lengths d(u, v) = depth(u) + depth(v) - 2 depth(lca(u, v)).
 
-    def __init__(self, phy: Phylogeny, matrix: np.ndarray):
-        self.phy = phy
-        self.matrix = matrix
-
-    def distance(self, u: int, v: int) -> float:
-        """Path length between node indices u and v."""
-        return float(self.matrix[u, v])
-
-    def leaf_distance(self, a: int, b: int) -> float:
-        """Path length between the leaves labelled a and b."""
-        return self.distance(self.phy.node_of_label(a), self.phy.node_of_label(b))
-
-
-def tree_metric(phy: Phylogeny) -> TreeMetric:
-    """Compute the additive tree metric of a phylogeny.
-
-    Uses root depths and level-ancestor walks: d(u, v) =
-    depth(u) + depth(v) - 2 depth(lca(u, v)).
+    Depths are summed level by level.  The LCA comes from 1-based heap
+    indices: lifting the deeper node by the level difference puts both
+    on one level, where they meet bit_length(i ^ j) levels up.
     """
     n = phy.n_nodes
     depth = np.zeros(n)
-    for v in range(1, n):
-        depth[v] = depth[Phylogeny.parent(v)] + phy.edge_tau[v]
-    # Ancestor at each level for every node, so the LCA is a vectorised
-    # comparison of ancestor rows rather than a per-pair walk.
-    levels = phy.h + 1
-    anc = np.zeros((n, levels), dtype=int)
-    for v in range(n):
-        lv = Phylogeny.level_of(v)
-        a = v
-        for s in range(lv, -1, -1):
-            anc[v, s] = a
-            a = Phylogeny.parent(a) if a else 0
-        anc[v, lv:] = v  # pad shallow rows with the node itself
-    dist = np.zeros((n, n))
+    for level in range(1, phy.h + 1):
+        lo, hi = 2 ** level - 1, 2 ** (level + 1) - 1
+        depth[lo:hi] = depth[(np.arange(lo, hi) - 1) // 2] + phy.edge_tau[lo:hi]
+    heap = np.arange(1, n + 1)
+    level = np.frexp(heap)[1] - 1
+    dist = np.empty((n, n))
     for u in range(n):
-        lu = Phylogeny.level_of(u)
-        for v in range(u + 1, n):
-            top = min(lu, Phylogeny.level_of(v))
-            s = top
-            while anc[u, s] != anc[v, s]:
-                s -= 1
-            d = depth[u] + depth[v] - 2.0 * depth[anc[u, s]]
-            dist[u, v] = dist[v, u] = d
-    return TreeMetric(phy, dist)
+        lift = level[u] - level
+        a = heap[u] >> np.maximum(lift, 0)
+        b = heap >> np.maximum(-lift, 0)
+        lca = (a >> np.frexp(a ^ b)[1]) - 1
+        dist[u] = depth[u] + depth - 2.0 * depth[lca]
+    return dist
 
 
 class Topology:
@@ -222,26 +197,46 @@ class Topology:
         return f"Topology(n={len(self.leaves)})"
 
 
-def unroot(phy: Phylogeny) -> Topology:
-    """Forget root, lengths and internal structure order of a phylogeny.
+def nested_topology(root) -> Topology:
+    """Unrooted topology of a rooted tree written as nested tuples: a
+    leaf is its label, an internal node the tuple of its children.
 
-    The root (degree 2) is suppressed by joining its children; all other
-    internal nodes keep degree 3.
+    A root with two children is suppressed by joining them; any other
+    root must have three and every other internal node two children.
     """
-    first_leaf = phy.first_leaf
-    def node_id(v):
-        return phy.label_of_node(v) if v >= first_leaf else -(v + 1)
+    if not isinstance(root, tuple):
+        return Topology({}, [root])
     adj = {}
-    for v in range(1, phy.n_nodes):
-        p = Phylogeny.parent(v)
-        adj.setdefault(node_id(v), []).append(node_id(p))
-        adj.setdefault(node_id(p), []).append(node_id(v))
-    root_id = node_id(0)
-    if phy.h >= 1:
-        a, b = adj.pop(root_id)
-        adj[a] = [x for x in adj[a] if x != root_id] + [b]
-        adj[b] = [x for x in adj[b] if x != root_id] + [a]
-    return Topology(adj, phy.leaf_labels.tolist())
+    ids = count(-1, -1)
+
+    def build(node, arity):
+        if not isinstance(node, tuple):
+            return node
+        if len(node) != arity:
+            raise ValueError(f"non-binary internal node ({len(node)} children)")
+        me = next(ids)
+        for child in node:
+            join(me, build(child, 2))
+        return me
+
+    def join(a, b):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    if len(root) == 2:
+        join(build(root[0], 2), build(root[1], 2))
+    else:
+        build(root, 3)
+    return Topology(adj, [v for v in adj if v > 0])
+
+
+def unroot(phy: Phylogeny) -> Topology:
+    """Forget root, lengths and child order of a phylogeny: pair up
+    sibling positions level by level and suppress the root."""
+    nodes = phy.leaf_labels.tolist()
+    while len(nodes) > 1:
+        nodes = list(zip(nodes[::2], nodes[1::2]))
+    return nested_topology(nodes[0])
 
 
 def robinson_foulds(t1: Topology, t2: Topology) -> int:

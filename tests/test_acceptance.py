@@ -208,8 +208,8 @@ def _exact_metric_fn(phy):
                 stack.extend(phy.children(u))
         node_of[frozenset(leaves)] = v
 
-    return lambda lu, lv: tm.distance(node_of[frozenset(lu)],
-                                      node_of[frozenset(lv)])
+    return lambda lu, lv: float(tm[node_of[frozenset(lu)],
+                                   node_of[frozenset(lv)]])
 
 
 def test_04_noiseless_reconstruction_is_perfect():

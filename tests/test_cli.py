@@ -2,6 +2,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from phyrec.cli import (
     EXIT_OK,
@@ -126,6 +127,22 @@ def test_reconstruct_rejects_infinite_gate(tmp_path, capsys):
     assert main(["reconstruct", "--align", str(sites), "--seed", "2",
                  "--D", "inf"]) == EXIT_USAGE
     assert "D must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f_min", ["nan", "inf"])
+def test_reconstruct_rejects_non_finite_f_min(tmp_path, capsys, f_min):
+    sites = tmp_path / "sites.tsv"
+    write_alignment(sites, Alignment([1, 2, 3, 4], np.zeros((5, 4), dtype=int), 2))
+    assert main(["reconstruct", "--align", str(sites), "--seed", "2",
+                 "--f-min", f_min]) == EXIT_USAGE
+    assert "f_min must be finite" in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_one_state_alignment(tmp_path, capsys):
+    sites = tmp_path / "sites.tsv"
+    sites.write_text("q=1 k=2\n1\t1 1\n2\t1 1\n")
+    assert main(["reconstruct", "--align", str(sites), "--seed", "2"]) == EXIT_USAGE
+    assert "needs q >= 2" in capsys.readouterr().err
 
 
 def test_config_file_defaults_and_overrides(tmp_path):

@@ -46,7 +46,10 @@ def test_pairwise_matrix_matches_scalar_estimates(q):
     assert np.allclose(np.diag(mat), 0.0)
     for i in range(6):
         for j in range(i + 1, 6):
-            want = estimate_distance(seqs[i], seqs[j], q)
+            # the scalar is one pair of the matrix; the closed form is the oracle
+            assert estimate_distance(seqs[i], seqs[j], q) == mat[i, j]
+            arg = 1.0 - q * np.mean(seqs[i] != seqs[j]) / (q - 1.0)
+            want = -math.log(arg) if arg > 0 else math.inf
             assert mat[i, j] == mat[j, i]
             if math.isinf(want):
                 assert math.isinf(mat[i, j])

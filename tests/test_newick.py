@@ -28,13 +28,13 @@ def test_phylogeny_roundtrip():
         assert sorted(back.leaf_labels.tolist()) == sorted(phy.leaf_labels.tolist())
         tm_a, tm_b = tree_metric(phy), tree_metric(back)
         for a in range(1, phy.n_leaves + 1):
+            ua, va = phy.node_of_label(a), back.node_of_label(a)
             # distance to the root pins the rooted shape ...
-            assert tm_b.matrix[0, back.node_of_label(a)] == pytest.approx(
-                tm_a.matrix[0, phy.node_of_label(a)], abs=1e-7)
+            assert tm_b[0, va] == pytest.approx(tm_a[0, ua], abs=1e-7)
             # ... and the leaf metric pins everything else
             for b in range(a + 1, phy.n_leaves + 1):
-                assert tm_b.leaf_distance(a, b) == pytest.approx(
-                    tm_a.leaf_distance(a, b), abs=1e-7)
+                ub, vb = phy.node_of_label(b), back.node_of_label(b)
+                assert tm_b[va, vb] == pytest.approx(tm_a[ua, ub], abs=1e-7)
 
 
 def test_topology_roundtrip():
@@ -77,7 +77,8 @@ def test_whitespace_tolerance():
 
 def test_parse_errors_carry_positions():
     for text in ["((1,2),(3,4)", "((1,2),(3,4)));", "(1,2,3,4);", "1;",
-                 "((x,2),(3,4));", "((1,2),(3,4);", "", "((1,2),(2,3));"]:
+                 "((x,2),(3,4));", "((1,2),(3,4);", "", "((1,2),(2,3));",
+                 "((1,2,3),(4,5),6);", "((1,2),((3,4,5),6));"]:
         with pytest.raises(NewickError):
             parse_newick(text)
     with pytest.raises(NewickError) as exc:

@@ -45,7 +45,7 @@ def exact_metric_fn(phy, bias=None):
 
     def fn(leaves_u, leaves_v):
         u, v = node_of[frozenset(leaves_u)], node_of[frozenset(leaves_v)]
-        d = tm.distance(u, v)
+        d = float(tm[u, v])
         if bias is not None:
             d += bias[u] + bias[v]
         return d
@@ -60,7 +60,8 @@ def test_params_validation():
                    dict(l=1, D=0.0), dict(l=1, D=1.0, f_min=0.0),
                    dict(l=1, D=1.0, estimator="posterior"),
                    dict(l=1, D=math.inf), dict(l=1, D=math.nan),
-                   dict(l=1, D=1.0, W=math.inf), dict(l=1, D=1.0, W=math.nan)]:
+                   dict(l=1, D=1.0, W=math.inf), dict(l=1, D=1.0, W=math.nan),
+                   dict(l=1, D=1.0, f_min=math.inf), dict(l=1, D=1.0, f_min=math.nan)]:
         with pytest.raises(ValueError):
             ReconstructionParams(**kwargs)
 

@@ -191,3 +191,13 @@ def test_read_alignment_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="node 1: states must be integers, "
                                          "in alignment line '1.t1 2 a'"):
         read_alignment(path)
+    for header in ("q=1 k=3", "q=2 k=-1"):
+        path.write_text(header + "\n1\t1 1 1\n")
+        with pytest.raises(ValueError, match=f"alignment header '{header}' "
+                                             "needs q >= 2 and k >= 0"):
+            read_alignment(path)
+    for row in ("1 2 3", "0 1 2"):
+        path.write_text(f"q=2 k=3\n4\t{row}\n")
+        with pytest.raises(ValueError, match="node 4: states must lie in 1..2, "
+                                             f"in alignment line '4.t{row}'"):
+            read_alignment(path)

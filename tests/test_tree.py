@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-networkx = pytest.importorskip("networkx")
-
+from phyrec.newick import to_newick
 from phyrec.tree import (
     Phylogeny,
     Topology,
     homogeneous_phylogeny,
+    nested_topology,
     random_homogeneous_phylogeny,
     robinson_foulds,
     topologies_equal,
@@ -17,7 +17,9 @@ from phyrec.tree import (
 
 def nx_graph(phy):
     """The phylogeny as a weighted networkx graph on node indices."""
+    import networkx
     g = networkx.Graph()
+    g.add_node(0)
     for v in range(1, phy.n_nodes):
         g.add_edge(Phylogeny.parent(v), v, weight=float(phy.edge_tau[v]))
     return g
@@ -26,6 +28,7 @@ def nx_graph(phy):
 def nx_splits(top):
     """Independent split computation: cut each internal edge and collect
     the leaf sets of the two components."""
+    import networkx
     g = networkx.Graph()
     for v, ns in top.adj.items():
         for w in ns:
@@ -52,9 +55,6 @@ def test_node_arithmetic():
     for v in range(1, phy.n_nodes):
         a, b = Phylogeny.children(Phylogeny.parent(v))
         assert v in (a, b)
-    assert Phylogeny.level_of(0) == 0
-    assert Phylogeny.level_of(7) == 3
-    assert Phylogeny.level_of(14) == 3
     # label <-> node maps invert each other
     for lab in range(1, 9):
         assert phy.label_of_node(phy.node_of_label(lab)) == lab
@@ -95,25 +95,29 @@ def test_random_homogeneous_phylogeny():
 
 
 def test_tree_metric_against_networkx_paths():
+    networkx = pytest.importorskip("networkx")
     rng = np.random.default_rng(32)
-    phy = random_homogeneous_phylogeny(4, 0.1, 0.6, rng)
-    tm = tree_metric(phy)
-    g = nx_graph(phy)
-    dist = dict(networkx.all_pairs_dijkstra_path_length(g))
-    for u in range(phy.n_nodes):
-        for v in range(phy.n_nodes):
-            assert tm.distance(u, v) == pytest.approx(dist[u][v], abs=1e-12)
-    # leaf_distance goes through the label maps
-    for a in (1, 5, 16):
-        for b in (2, 9):
-            expect = dist[phy.node_of_label(a)][phy.node_of_label(b)]
-            assert tm.leaf_distance(a, b) == pytest.approx(expect, abs=1e-12)
-    assert tm.matrix.shape == (phy.n_nodes, phy.n_nodes)
-    assert np.allclose(tm.matrix, tm.matrix.T)
-    assert np.allclose(np.diag(tm.matrix), 0.0)
+    for h in (0, 1, 4, 6):
+        phy = random_homogeneous_phylogeny(h, 0.1, 0.6, rng)
+        tm = tree_metric(phy)
+        assert tm.shape == (phy.n_nodes, phy.n_nodes)
+        dist = dict(networkx.all_pairs_dijkstra_path_length(nx_graph(phy)))
+        want = np.array([[dist[u][v] for v in range(phy.n_nodes)]
+                         for u in range(phy.n_nodes)])
+        np.testing.assert_allclose(tm, want, rtol=0, atol=1e-12)
+        assert np.array_equal(tm, tm.T)
+        assert np.all(np.diag(tm) == 0.0)
+        # leaf labels reach the array through the label maps
+        labels = range(1, phy.n_leaves + 1)
+        for a in labels:
+            for b in labels:
+                expect = dist[phy.node_of_label(a)][phy.node_of_label(b)]
+                got = tm[phy.node_of_label(a), phy.node_of_label(b)]
+                assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_unroot_shape_and_splits():
+    pytest.importorskip("networkx")
     rng = np.random.default_rng(33)
     for h in (2, 3, 4):
         phy = random_homogeneous_phylogeny(h, 0.2, 0.5, rng)
@@ -131,6 +135,30 @@ def test_unroot_two_leaves():
     assert top.leaves == frozenset({1, 2})
     assert top.adj == {1: [2], 2: [1]}
     assert top.splits() == frozenset()
+
+
+def test_unroot_one_leaf():
+    top = unroot(homogeneous_phylogeny(0, 0.4))
+    assert top.leaves == frozenset({1})
+    assert top.adj == {}
+    assert top.splits() == frozenset()
+    assert to_newick(top) == "1;"
+
+
+def test_nested_topology_shapes():
+    # a two-child root is suppressed, so both rootings give one tree
+    rooted = nested_topology(((1, 2), (3, 4)))
+    assert rooted.adj[1] == rooted.adj[2] and len(rooted.adj) == 6
+    assert topologies_equal(rooted, nested_topology((1, 2, (3, 4))))
+    assert topologies_equal(rooted, unroot(homogeneous_phylogeny(2, 0.2)))
+    assert all(v < 0 for v in rooted.adj if v not in rooted.leaves)
+    assert to_newick(nested_topology((1, (2, 3)))) == "(1,2,3);"
+    assert nested_topology(1).adj == {}
+    # only the root may have three children
+    for bad in [((1, 2, 3), (4, 5), 6), ((1, 2), (3, 4), (5, 6, 7)),
+                (1, 2, 3, 4), ((1,), 2, 3)]:
+        with pytest.raises(ValueError, match="non-binary internal node"):
+            nested_topology(bad)
 
 
 def test_robinson_foulds_known_values():
