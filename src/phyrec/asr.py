@@ -63,17 +63,17 @@ def diluted_state_sets(leaf_states: np.ndarray, q: int, l: int) -> np.ndarray:
         pad = big - h
         if pad:
             # Bottom diluted layer sits below the real leaves: each real
-            # leaf stands for 2^pad identical virtual descendants, so a
-            # vertex at level big-l qualifies iff its real-leaf block
-            # contributes at least 2 virtual matches.
+            # leaf stands for 2^pad >= 2 identical virtual descendants, so
+            # a vertex at level big-l qualifies iff one leaf of its
+            # real-leaf block matches.
             block = 2 ** (h - (big - l))
-            counts = qual.reshape(*qual.shape[:2], -1, block).sum(axis=-1)
-            qual = counts * 2 ** pad >= 2
+            qual = qual.reshape(*qual.shape[:2], -1, block).any(axis=-1)
             steps = big // l - 1
         else:
             steps = big // l
         for _ in range(steps):
-            qual = qual.reshape(*qual.shape[:2], -1, 2 ** l).sum(axis=-1) >= 2
+            qual = np.count_nonzero(
+                qual.reshape(*qual.shape[:2], -1, 2 ** l), axis=-1) >= 2
     result = qual[..., 0]
     return result[0] if single else result
 

@@ -37,11 +37,14 @@ def estimate_distance(seq_u, seq_v, q: int) -> float:
 
 def pairwise_distance_matrix(seqs: np.ndarray, q: int) -> np.ndarray:
     """Channel-inverting distances between all rows of (m, k).  Saturated
-    entries are +inf; the diagonal is zero."""
+    entries (agreement count at most k/q) are +inf; the diagonal is zero."""
     seqs = np.asarray(seqs)
     m, k = seqs.shape
     if k == 0:
         raise ValueError("cannot estimate distances from empty sequences")
+    if q <= 8 and k >= 1 << 24:
+        # float32 agreement counts are exact integers only below 2^24
+        raise ValueError(f"k = {k} sites must stay below 2^24 for q <= 8")
     if q <= 8:
         agree = np.zeros((m, m), dtype=np.float32)
         for state in range(q):
@@ -51,9 +54,12 @@ def pairwise_distance_matrix(seqs: np.ndarray, q: int) -> np.ndarray:
         agree = np.empty((m, m), dtype=np.float64)
         for i in range(m):
             agree[i] = (seqs == seqs[i]).sum(axis=1)
-    arg = 1.0 - (q / (q - 1.0)) * (1.0 - agree.astype(np.float64) / k)
+    agree = agree.astype(np.float64)
+    arg = 1.0 - (q / (q - 1.0)) * (1.0 - agree / k)
+    # saturation is decided on the exact counts, where arg may round
+    # to a tiny positive value at mismatch exactly (q-1)/q
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.where(arg > 0, -np.log(np.maximum(arg, 1e-300)), np.inf)
+        dist = np.where(q * agree > k, -np.log(np.maximum(arg, 1e-300)), np.inf)
     np.fill_diagonal(dist, 0.0)
     return dist
 

@@ -119,6 +119,8 @@ class _Parser:
         match = _LABEL.match(self.text, self.pos)
         if not match:
             self.error("expected '(' or a leaf label")
+        if int(match.group()) < 1:
+            self.error(f"leaf labels must be integers 1..n, got {match.group()}")
         self.pos = match.end()
         return _Node(label=int(match.group()))
 

@@ -1,14 +1,16 @@
 """Level-by-level topology reconstruction for homogeneous trees.
 
 Starting from the leaves, each sweep estimates all pairwise distances
-within the current level, runs the thresholded four-point test over
-every 4-subset (quartets failing the diameter gate are discarded),
-collects the accepted splits, and pairs up the vertices that only ever
-appear on the same side of accepted splits.  Each new parent gets a
-sequence reconstructed site-by-site from its descendant leaf data, and
-the sweep repeats one level up.  A vertex is carried as the tuple of its
-leaves and its shape as nested tuples; the last two vertices are joined
-by ``tree.nested_topology`` into the unrooted topology.
+within the current level, runs the thresholded four-point test over the
+quartets inside the diameter gate (the 4-cliques of the graph of
+distances at most the gate, enumerated directly, so deep trees never
+visit the C(m, 4) others), collects the accepted splits, and pairs up
+the vertices that only ever appear on the same side of accepted splits.
+Each new parent gets a sequence reconstructed site-by-site from its
+descendant leaf data, and the sweep repeats one level up.  A vertex is
+carried as the tuple of its leaves and its shape as nested tuples; the
+last two vertices are joined by ``tree.nested_topology`` into the
+unrooted topology.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .asr import diluted_estimates, majority_estimates
-from .errors import CherryMatchingError
+from .errors import CherryMatchingError, EnumerationTooLargeError
 from .metric import pairwise_distance_matrix
 from .simulate import Alignment
 from .tree import Topology, nested_topology
@@ -90,9 +92,18 @@ def auto_reconstruction_params(g: float, k: int, l: int = 1, W: float = 5.5,
     return ReconstructionParams(l=l, D=D, W=W, f_min=f_min, estimator=estimator)
 
 
+# Growth steps of the quartet enumeration examine at most this many
+# candidate cliques: m = 128 with every quartet open (10,668,000) fits.
+QUARTET_CANDIDATE_LIMIT = 1 << 24
+# Candidate quartets grown and scored at a time, which bounds the
+# kernel's memory whatever the gate admits.
+_QUARTET_BLOCK = 1 << 20
+
+
 @lru_cache(maxsize=4)
 def _all_quartets(m: int) -> np.ndarray:
-    """All 4-subsets of range(m) as an (n_quartets, 4) int16 array."""
+    """All 4-subsets of range(m) as an (n_quartets, 4) int16 array: the
+    full scan behind the tests' oracle for ``_quartet_relations``."""
     if m < 4:
         return np.empty((0, 4), dtype=np.int16)
     pairs = np.array(list(combinations(range(m), 2)), dtype=np.int16)
@@ -106,22 +117,74 @@ def _all_quartets(m: int) -> np.ndarray:
     return np.hstack([ab, cd])
 
 
-def _quartet_relations(dist: np.ndarray, gate: float, f_min: float,
-                       chunk: int = 1 << 20):
-    """Scan every quartet and scatter the accepted splits into pairwise
-    ``together`` / ``separated`` relations (m x m boolean).
+def _grow_cliques(cliques: np.ndarray, up: np.ndarray, indptr: np.ndarray,
+                  indices: np.ndarray) -> np.ndarray:
+    """Extend each row of increasing vertices by every upper neighbour
+    of its last vertex (``indices[indptr[v]:indptr[v + 1]]`` in the CSR
+    form of ``up``) that is adjacent to all of its other members."""
+    last = cliques[:, -1]
+    degree = indptr[last + 1] - indptr[last]
+    rows = np.repeat(np.arange(len(cliques)), degree)
+    # position of each candidate inside its clique's neighbour run
+    offset = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+    new = indices[indptr[last][rows] + offset]
+    keep = np.ones(len(rows), dtype=bool)
+    for c in range(cliques.shape[1] - 1):
+        keep &= up[cliques[rows, c], new]
+    return np.column_stack([cliques[rows[keep]], new[keep]])
+
+
+def _quartet_relations(dist: np.ndarray, gate: float, f_min: float):
+    """Score the quartets inside the diameter gate and scatter the
+    accepted splits into pairwise ``together`` / ``separated`` relations
+    (m x m boolean).
 
     This is the package's one four-point test.  For a quartet a<b<c<d
     with x = t(a,b) + t(c,d), y = t(a,c) + t(b,d), z = t(a,d) + t(b,c),
     the pairing ab|cd is accepted when (y - x)/2 > f_min/2, ac|bd when
-    (x - y)/2 > f_min/2 and ad|bc when (x - z)/2 > f_min/2.  A quartet
-    whose largest distance exceeds ``gate`` is discarded whole, which
-    keeps saturated (+inf) estimates out of the split set.
+    (x - y)/2 > f_min/2 and ad|bc when (x - z)/2 > f_min/2.  Only
+    quartets whose six distances are all at most ``gate`` are scored:
+    they are the 4-cliques of the graph {dist <= gate}, grown vertex by
+    vertex from its upper-triangular adjacency, so saturated (+inf) and
+    NaN estimates shut out every quartet they belong to.  Raises
+    EnumerationTooLargeError when a growth step would examine more than
+    QUARTET_CANDIDATE_LIMIT candidates.
     """
     m = dist.shape[0]
     together = np.zeros((m, m), dtype=bool)
     separated = np.zeros((m, m), dtype=bool)
-    quartets = _all_quartets(m)
+    up = np.triu(dist <= gate, 1)
+    indptr = np.concatenate(([0], np.cumsum(up.sum(axis=1))))
+    indices = np.nonzero(up)[1]
+
+    def upper_degrees(cliques):
+        last = cliques[:, -1]
+        degree = indptr[last + 1] - indptr[last]
+        if degree.sum() > QUARTET_CANDIDATE_LIMIT:
+            raise EnumerationTooLargeError(
+                f"{degree.sum()} candidate cliques at m = {m} under gate "
+                f"{gate:g} exceed the quartet limit of "
+                f"{QUARTET_CANDIDATE_LIMIT}; lower D")
+        return degree
+
+    triangles = np.arange(m)[:, None]
+    for _ in range(2):
+        upper_degrees(triangles)
+        triangles = _grow_cliques(triangles, up, indptr, indices)
+    # grow the triangles into quartets and score them a block at a time
+    widest = int(upper_degrees(triangles).max(initial=0))
+    step = max(1, _QUARTET_BLOCK // max(1, widest))
+    for start in range(0, len(triangles), step):
+        quartets = _grow_cliques(triangles[start:start + step], up, indptr, indices)
+        _score_quartets(quartets, dist, f_min, together, separated)
+    together |= together.T
+    separated |= separated.T
+    return together, separated
+
+
+def _score_quartets(quartets, dist, f_min, together, separated):
+    """The four-point test on rows a<b<c<d, marking the accepted splits
+    in the upper triangles of ``together`` and ``separated``."""
     half = f_min / 2.0
 
     def scatter(mask, a, b, c, d):
@@ -131,26 +194,19 @@ def _quartet_relations(dist: np.ndarray, gate: float, f_min: float,
         for u, v in ((a, c), (a, d), (b, c), (b, d)):
             separated[u[mask], v[mask]] = True
 
-    for start in range(0, len(quartets), chunk):
-        qa, qb, qc, qd = quartets[start:start + chunk].T
-        tab, tcd = dist[qa, qb], dist[qc, qd]
-        tac, tbd = dist[qa, qc], dist[qb, qd]
-        tad, tbc = dist[qa, qd], dist[qb, qc]
-        worst = np.maximum.reduce([tab, tcd, tac, tbd, tad, tbc])
-        open_gate = ~(worst > gate)
-        with np.errstate(invalid="ignore"):
-            # saturated (infinite) estimates give NaN differences; those
-            # quartets are already shut out by the gate
-            x = tab + tcd
-            y = tac + tbd
-            z = tad + tbc
-            scatter(open_gate & (0.5 * (y - x) > half), qa, qb, qc, qd)
-            scatter(open_gate & (0.5 * (x - y) > half), qa, qc, qb, qd)
-            scatter(open_gate & (0.5 * (x - z) > half), qa, qd, qb, qc)
-
-    together |= together.T
-    separated |= separated.T
-    return together, separated
+    qa, qb, qc, qd = quartets.T
+    tab, tcd = dist[qa, qb], dist[qc, qd]
+    tac, tbd = dist[qa, qc], dist[qb, qd]
+    tad, tbc = dist[qa, qd], dist[qb, qc]
+    with np.errstate(invalid="ignore"):
+        # a gate of +inf admits saturated estimates, whose differences
+        # are NaN and accept nothing
+        x = tab + tcd
+        y = tac + tbd
+        z = tad + tbc
+        scatter(0.5 * (y - x) > half, qa, qb, qc, qd)
+        scatter(0.5 * (x - y) > half, qa, qc, qb, qd)
+        scatter(0.5 * (x - z) > half, qa, qd, qb, qc)
 
 
 def _matching_from_relations(together: np.ndarray, separated: np.ndarray):

@@ -47,12 +47,13 @@ class Alignment:
         return self.states[:, self.node_ids.index(node_id)]
 
 
-def _categorical_rows(prob_rows: np.ndarray, rng) -> np.ndarray:
-    """Draw one sample per row of a stack of probability vectors."""
-    cum = np.cumsum(prob_rows, axis=1)
+def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative transition table with its last column 1.0.
+    ``transition_matrix`` clips entries to >= 0, so every row is
+    non-decreasing and a draw u in [0, 1) lands on #(row < u)."""
+    cum = np.cumsum(matrix, axis=1)
     cum[:, -1] = 1.0
-    u = rng.random(prob_rows.shape[0])
-    return (cum < u[:, None]).sum(axis=1)
+    return cum
 
 
 def _broadcast_sites(phy: Phylogeny, model: RateModel, k: int, rng) -> np.ndarray:
@@ -60,13 +61,22 @@ def _broadcast_sites(phy: Phylogeny, model: RateModel, k: int, rng) -> np.ndarra
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0
     states[:, 0] = np.searchsorted(cum_pi, rng.random(k), side="right")
-    matrices = {}
+    tables = {}
     for v in range(1, phy.n_nodes):
         tau = float(phy.edge_tau[v])
-        if tau not in matrices:
-            matrices[tau] = transition_matrix(model, tau)
+        if tau not in tables:
+            tables[tau] = _cumulative_rows(transition_matrix(model, tau))
+        cum = tables[tau]
         parent_states = states[:, Phylogeny.parent(v)]
-        states[:, v] = _categorical_rows(matrices[tau][parent_states], rng)
+        u = rng.random(k)
+        # draw the sites of each parent state from that state's row
+        order = np.argsort(parent_states, kind="stable")
+        bounds = np.searchsorted(parent_states[order], np.arange(model.q + 1))
+        child = states[:, v]
+        for s in range(model.q):
+            rows = order[bounds[s]:bounds[s + 1]]
+            if len(rows):
+                child[rows] = np.searchsorted(cum[s], u[rows], side="left")
     return states
 
 

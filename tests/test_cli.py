@@ -129,6 +129,16 @@ def test_reconstruct_rejects_infinite_gate(tmp_path, capsys):
     assert "D must be finite" in capsys.readouterr().err
 
 
+def test_reconstruct_refuses_an_oversized_quartet_enumeration(tmp_path, capsys):
+    # identical sequences and a huge D open every one of C(256, 4) quartets
+    sites = tmp_path / "sites.tsv"
+    write_alignment(sites, Alignment(list(range(1, 257)),
+                                     np.zeros((5, 256), dtype=int), 2))
+    assert main(["reconstruct", "--align", str(sites), "--seed", "2",
+                 "--D", "1e6"]) == EXIT_USAGE
+    assert "exceed the quartet limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("f_min", ["nan", "inf"])
 def test_reconstruct_rejects_non_finite_f_min(tmp_path, capsys, f_min):
     sites = tmp_path / "sites.tsv"

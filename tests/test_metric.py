@@ -57,6 +57,24 @@ def test_pairwise_matrix_matches_scalar_estimates(q):
                 assert mat[i, j] == pytest.approx(want, abs=1e-9)
 
 
+def test_pairwise_matrix_saturates_exactly():
+    # q=12 with mismatch exactly 11/12: 1 - (12/11)(11/12) rounds to
+    # ~1e-16 in floating point, but the pair is saturated
+    for k in (12, 24):
+        seq_u = np.zeros(k, dtype=int)
+        seq_v = np.arange(k) % 12
+        assert estimate_distance(seq_u, seq_v, 12) == math.inf
+    # one more agreement leaves the pair finite
+    seq_v = np.r_[0, 0, np.arange(2, 24) % 12]
+    assert math.isfinite(estimate_distance(np.zeros(24, dtype=int), seq_v, 12))
+
+
+def test_pairwise_matrix_refuses_inexact_float32_counts():
+    seqs = np.broadcast_to(np.zeros(1, dtype=np.int8), (2, 2 ** 24))
+    with pytest.raises(ValueError, match="2\\^24"):
+        pairwise_distance_matrix(seqs, 2)
+
+
 # The four-point test on these metrics runs in reconstruct._quartet_relations.
 
 GATE = 10.0 + math.log(5.0)   # D = 10, W = 20

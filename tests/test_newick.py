@@ -81,6 +81,9 @@ def test_parse_errors_carry_positions():
                  "((1,2,3),(4,5),6);", "((1,2),((3,4,5),6));"]:
         with pytest.raises(NewickError):
             parse_newick(text)
+    with pytest.raises(NewickError, match=r"leaf labels must be integers 1\.\.n, "
+                       r"got 0 \(at position 8\)"):
+        parse_newick("((1,2),(0,3));")
     with pytest.raises(NewickError) as exc:
         parse_newick("((1,2),(3,4)")
     assert exc.value.pos is not None

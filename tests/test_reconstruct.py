@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from phyrec.errors import CherryMatchingError, ReconstructionError
+from phyrec.errors import (
+    CherryMatchingError,
+    EnumerationTooLargeError,
+    ReconstructionError,
+)
 from phyrec.reconstruct import (
+    QUARTET_CANDIDATE_LIMIT,
     ReconstructionParams,
     _all_quartets,
     _matching_from_relations,
@@ -130,6 +135,64 @@ def test_quartet_relations_match_scalar_indicators():
         assert np.array_equal(separated, want_s), trial
 
 
+def full_scan_relations(dist, gate, f_min):
+    """Oracle: the gated four-point test run over every 4-subset."""
+    m = dist.shape[0]
+    together = np.zeros((m, m), dtype=bool)
+    separated = np.zeros((m, m), dtype=bool)
+    half = f_min / 2.0
+
+    def scatter(mask, a, b, c, d):
+        together[a[mask], b[mask]] = True
+        together[c[mask], d[mask]] = True
+        for u, v in ((a, c), (a, d), (b, c), (b, d)):
+            separated[u[mask], v[mask]] = True
+
+    qa, qb, qc, qd = _all_quartets(m).T
+    tab, tcd = dist[qa, qb], dist[qc, qd]
+    tac, tbd = dist[qa, qc], dist[qb, qd]
+    tad, tbc = dist[qa, qd], dist[qb, qc]
+    worst = np.maximum.reduce([tab, tcd, tac, tbd, tad, tbc])
+    open_gate = ~(worst > gate)
+    with np.errstate(invalid="ignore"):
+        x = tab + tcd
+        y = tac + tbd
+        z = tad + tbc
+        scatter(open_gate & (0.5 * (y - x) > half), qa, qb, qc, qd)
+        scatter(open_gate & (0.5 * (x - y) > half), qa, qc, qb, qd)
+        scatter(open_gate & (0.5 * (x - z) > half), qa, qd, qb, qc)
+    together |= together.T
+    separated |= separated.T
+    return together, separated
+
+
+@pytest.mark.parametrize("gate", [0.0, 0.5, 1.5, 3.0, 1e300])
+def test_quartet_relations_match_full_scan(gate):
+    rng = np.random.default_rng(94)
+    for m in (4, 5, 6, 9, 17, 33, 64):
+        for _ in range(3):
+            dist = random_distance_matrix(m, rng, saturate=0.15)
+            if gate < 1e300:
+                dist += gate - 1.5      # about half the entries pass the gate
+            # entries exactly at the gate are admitted
+            at_gate = np.triu(rng.random((m, m)) < 0.2, 1)
+            dist[at_gate | at_gate.T] = gate
+            f_min = float(rng.uniform(0.02, 0.6))
+            got = _quartet_relations(dist, gate, f_min)
+            want = full_scan_relations(dist, gate, f_min)
+            assert np.array_equal(got[0], want[0]), (m, gate)
+            assert np.array_equal(got[1], want[1]), (m, gate)
+
+
+def test_quartet_enumeration_guard():
+    dist = np.zeros((160, 160))
+    with pytest.raises(EnumerationTooLargeError) as exc:
+        _quartet_relations(dist, 1e300, 0.1)
+    # every 4-subset is a candidate: C(160, 4) = 26,294,360
+    assert "26294360" in str(exc.value) and "m = 160" in str(exc.value)
+    assert math.comb(128, 4) <= QUARTET_CANDIDATE_LIMIT < math.comb(160, 4)
+
+
 def test_quartet_relations_boundaries():
     # 01|23 with within-pair 0.25 and cross 0.5: F(01|23) = 0.25 exactly
     dist = np.full((4, 4), 0.5)
@@ -142,11 +205,12 @@ def test_quartet_relations_boundaries():
     # a worst distance equal to the gate is admitted
     assert accepted(0.5, 0.25)
     assert not accepted(np.nextafter(0.5, 0.0), 0.25)
-    # one +inf entry closes the quartet under any finite gate
+    # one +inf or NaN entry closes the quartet under any finite gate
     for u, v in itertools.combinations(range(4), 2):
-        sat = dist.copy()
-        sat[u, v] = sat[v, u] = np.inf
-        assert not any(rel.any() for rel in _quartet_relations(sat, 1e300, 0.25))
+        for bad in (np.inf, np.nan):
+            sat = dist.copy()
+            sat[u, v] = sat[v, u] = bad
+            assert not any(rel.any() for rel in _quartet_relations(sat, 1e300, 0.25))
 
 
 def relations_from_edges(m, edges):
@@ -249,6 +313,17 @@ def test_reconstruction_from_sampled_sequences():
     align = sample_alignment(phy, potts_rate_matrix(2), 3000, rng)
     params = auto_reconstruction_params(0.25, 3000, estimator="majority")
     got = reconstruct_homogeneous(align, 2, params, np.random.default_rng(1))
+    assert topologies_equal(got, unroot(phy))
+
+
+def test_deep_tree_reconstruction():
+    # 1,024 leaves at k = 4000: the quartets inside the gate are a tiny
+    # fraction of the C(1024, 4) ~ 4.6e10 a full scan would visit
+    rng = np.random.default_rng(0)
+    phy = random_homogeneous_phylogeny(10, 0.2, 0.2, rng)
+    align = sample_alignment(phy, potts_rate_matrix(2), 4000, rng)
+    params = auto_reconstruction_params(0.2, 4000, estimator="majority")
+    got = reconstruct_homogeneous(align, 2, params, rng)
     assert topologies_equal(got, unroot(phy))
 
 

@@ -121,6 +121,49 @@ def test_broadcast_handles_gtr_models():
     assert chisq_pvalue(align.states, law) > 1e-3
 
 
+def count_below_sample(phy, model, k, rng):
+    """Oracle: each child state is #(cum[parent] < u) for one uniform u
+    per site and edge, drawn edge by edge."""
+    states = np.empty((k, phy.n_nodes), dtype=np.int32)
+    cum_pi = np.cumsum(model.pi)
+    cum_pi[-1] = 1.0
+    states[:, 0] = np.searchsorted(cum_pi, rng.random(k), side="right")
+    for v in range(1, phy.n_nodes):
+        cum = np.cumsum(transition_matrix(model, phy.edge_tau[v]), axis=1)
+        cum[:, -1] = 1.0
+        u = rng.random(k)
+        states[:, v] = (cum[states[:, Phylogeny.parent(v)]] < u[:, None]).sum(axis=1)
+    return states
+
+
+def skewed_gtr_model():
+    # skewed pi and two near-zero exchangeabilities (0-3 and 1-2)
+    pi = np.array([0.85, 0.1, 0.04, 0.01])
+    s = np.array([[0.0, 1.0, 2.0, 1e-6],
+                  [1.0, 0.0, 1e-6, 0.5],
+                  [2.0, 1e-6, 0.0, 1.5],
+                  [1e-6, 0.5, 1.5, 0.0]])
+    rate = s * pi[None, :]
+    np.fill_diagonal(rate, -rate.sum(axis=1))
+    return validate_gtr(4, rate, pi)[0]
+
+
+@pytest.mark.parametrize("model", [potts_rate_matrix(2), potts_rate_matrix(64),
+                                   skewed_gtr_model()],
+                         ids=["potts2", "potts64", "skewed-gtr"])
+def test_grouped_sampler_matches_count_below(model):
+    rng = np.random.default_rng(59)
+    phy = random_homogeneous_phylogeny(4, 0.01, 0.9, rng)
+    # zero-length edges give identity matrices, zeros off the diagonal
+    tau = phy.edge_tau.copy()
+    tau[1::3] = 0.0
+    phy = Phylogeny(4, tau, phy.leaf_labels.copy())
+    _, full = sample_alignment(phy, model, 700, np.random.default_rng(7),
+                               keep_internal=True)
+    want = count_below_sample(phy, model, 700, np.random.default_rng(7))
+    assert np.array_equal(full, want)
+
+
 def test_degenerate_edges_copy_states():
     # tau = 0 everywhere: every node inherits the root state
     phy = homogeneous_phylogeny(3, 0.0)
