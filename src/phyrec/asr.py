@@ -127,8 +127,11 @@ def majority_root_estimator(leaf_states, rng) -> int:
 def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
     """Vectorised majority_root_estimator over rows of (B, n)."""
     n_rows = leaf_batch.shape[0]
-    counts = np.zeros((n_rows, q))
-    np.add.at(counts, (np.arange(n_rows)[:, None], leaf_batch), 1.0)
+    if leaf_batch.size and (leaf_batch.min() < 0 or leaf_batch.max() >= q):
+        raise ValueError(f"leaf states must lie in 0..{q - 1}")
+    codes = np.arange(n_rows)[:, None] * q + leaf_batch
+    counts = np.bincount(codes.reshape(-1), minlength=n_rows * q)
+    counts = counts.reshape(n_rows, q).astype(np.float64)
     # Sub-unit noise turns argmax into a uniform tie-break.
     return np.argmax(counts + rng.random(counts.shape), axis=1).astype(np.int32)
 
@@ -138,33 +141,59 @@ def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
 
 
 def _posterior_batch(phy: Phylogeny, model: RateModel, leaf_batch: np.ndarray) -> np.ndarray:
-    """Exact root posteriors, (B, q), for leaf matrices in position order."""
+    """Exact root posteriors, (B, q), for leaf matrices in position order.
+
+    Felsenstein pruning, each message scaled to a maximum of 1.  A leaf's
+    upward message over an edge is a row of that edge's q x q table, what
+    lifting its one-hot message gives entry for entry, so a leaf parent's
+    message is the product of two row lookups.  Higher up, each popped
+    child message is lifted over its edge in place.
+    """
     q = model.q
     n_rows = leaf_batch.shape[0]
+    first = phy.first_leaf
     symmetric = model.is_symmetric
-    matrices = {}
-    messages = {}
-    for v in range(phy.n_nodes - 1, -1, -1):
-        if v >= phy.first_leaf:
-            msg = np.zeros((n_rows, q))
-            msg[np.arange(n_rows), leaf_batch[:, v - phy.first_leaf]] = 1.0
-        else:
-            msg = None
-            for c in Phylogeny.children(v):
-                child = messages.pop(c)
-                tau = float(phy.edge_tau[c])
-                if symmetric:
-                    delta = delta_from_tau(q, tau)
-                    up = delta * child.sum(axis=1, keepdims=True) \
-                        + (1.0 - q * delta) * child
-                else:
-                    if tau not in matrices:
-                        matrices[tau] = transition_matrix(model, tau)
-                    up = child @ matrices[tau].T
-                msg = up if msg is None else msg * up
-            msg = msg / np.maximum(msg.max(axis=1, keepdims=True), 1e-300)
-        messages[v] = msg
-    post = messages[0] * model.pi[None, :]
+    tables, messages = {}, {}
+
+    def table(c):
+        """Edge c's q x q table: row x lifts a leaf in state x."""
+        tau = float(phy.edge_tau[c])
+        if tau not in tables:
+            if symmetric:
+                delta = delta_from_tau(q, tau)
+                tables[tau] = delta * 1.0 + (1.0 - q * delta) * np.eye(q)
+            else:
+                tables[tau] = transition_matrix(model, tau).T
+        return tables[tau]
+
+    def lift(c):
+        """Child c's message lifted over its edge, in place when symmetric:
+        delta * row sum + (1 - q delta) * message."""
+        child = messages.pop(c)
+        if not symmetric:
+            return child @ table(c)
+        delta = delta_from_tau(q, float(phy.edge_tau[c]))
+        total = child.sum(axis=1, keepdims=True)
+        child *= 1.0 - q * delta
+        child += delta * total
+        return child
+
+    if phy.h == 0:
+        root = np.zeros((n_rows, q))
+        root[np.arange(n_rows), leaf_batch[:, 0]] = 1.0
+    else:
+        for v in range(first - 1, -1, -1):
+            left, right = Phylogeny.children(v)
+            if left >= first:
+                msg = table(left)[leaf_batch[:, left - first]]
+                msg *= table(right)[leaf_batch[:, right - first]]
+            else:
+                msg = lift(left)
+                msg *= lift(right)
+            msg /= np.maximum(msg.max(axis=1, keepdims=True), 1e-300)
+            messages[v] = msg
+        root = messages[0]
+    post = root * model.pi[None, :]
     return post / post.sum(axis=1, keepdims=True)
 
 

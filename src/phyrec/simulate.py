@@ -1,7 +1,7 @@
 """Sampling site patterns on phylogenies, plus the exact leaf law.
 
-``sample_alignment`` broadcasts sites edge by edge through the
-transition matrices of any rate model.  ``potts_batch_sample`` is the
+``sample_alignment`` broadcasts sites one tree level at a time through
+the transition matrices of any rate model.  ``potts_batch_sample`` is the
 vectorised copy-or-refresh sampler for symmetric models that the Monte
 Carlo drivers use.  Both are tested against the exact leaf law, and
 against the random-cluster mechanism kept in the tests as an oracle.
@@ -18,6 +18,7 @@ from .model import RateModel, transition_matrix
 from .tree import Phylogeny
 
 EXACT_ENUMERATION_LIMIT = 10 ** 6
+_NODE_SITE_BUDGET = 1 << 15   # node-sites per sampling block, ~1 MB of temporaries
 
 
 @dataclass
@@ -57,26 +58,41 @@ def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def _broadcast_sites(phy: Phylogeny, model: RateModel, k: int, rng) -> np.ndarray:
-    states = np.empty((k, phy.n_nodes), dtype=np.int32)
+    """Node-major states (n_nodes, k) of k sites broadcast from the root.
+
+    The root draws from pi.  Below it the tree is walked level by level,
+    in blocks of whole nodes of at most ``_NODE_SITE_BUDGET`` node-sites,
+    with one uniform u per site and edge drawn in node order.  A child
+    site takes #(cum[parent] < u) over its edge's cumulative row, found
+    by a branchless binary search in one flat table of all rows, each
+    padded with 2.0 to a power-of-two width (any pad >= 1 works: u < 1).
+    """
+    q = model.q
+    states = np.empty((phy.n_nodes, k), dtype=np.int32)
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0
-    states[:, 0] = np.searchsorted(cum_pi, rng.random(k), side="right")
-    tables = {}
-    for v in range(1, phy.n_nodes):
-        tau = float(phy.edge_tau[v])
-        if tau not in tables:
-            tables[tau] = _cumulative_rows(transition_matrix(model, tau))
-        cum = tables[tau]
-        parent_states = states[:, Phylogeny.parent(v)]
-        u = rng.random(k)
-        # draw the sites of each parent state from that state's row
-        order = np.argsort(parent_states, kind="stable")
-        bounds = np.searchsorted(parent_states[order], np.arange(model.q + 1))
-        child = states[:, v]
-        for s in range(model.q):
-            rows = order[bounds[s]:bounds[s + 1]]
-            if len(rows):
-                child[rows] = np.searchsorted(cum[s], u[rows], side="left")
+    states[0] = np.searchsorted(cum_pi, rng.random(k), side="right")
+    width = 1 << max(1, (q - 1).bit_length())
+    taus, table_of = np.unique(phy.edge_tau[1:], return_inverse=True)
+    flat = np.full((len(taus), q, width), 2.0)
+    for i, tau in enumerate(taus):
+        flat[i, :, :q] = _cumulative_rows(transition_matrix(model, float(tau)))
+    flat = flat.reshape(-1)
+    # per child node v (entry v - 1): its table's start in ``flat``, minus one
+    row_base = table_of.reshape(-1) * (q * width) - 1
+    block = max(1, _NODE_SITE_BUDGET // max(k, 1))
+    for level in range(1, phy.h + 1):
+        lo, hi = 2 ** level - 1, 2 ** (level + 1) - 1
+        for start in range(lo, hi, block):
+            nodes = np.arange(start, min(start + block, hi))
+            u = rng.random((len(nodes), k))
+            base = row_base[nodes - 1, None] + states[(nodes - 1) // 2] * width
+            idx = base.copy()
+            step = width >> 1
+            while step:
+                idx += (flat[idx + step] < u) * step
+                step >>= 1
+            states[nodes] = idx - base
     return states
 
 
@@ -108,12 +124,12 @@ def sample_alignment(phy: Phylogeny, model: RateModel, k: int, rng,
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    full = _broadcast_sites(phy, model, k, rng)
+    nodes = _broadcast_sites(phy, model, k, rng)
     order = np.argsort(phy.leaf_labels)  # column j <-> label j+1
-    leaf_states = full[:, phy.first_leaf:][:, order]
+    leaf_states = nodes[phy.first_leaf:][order].T
     align = Alignment(list(range(1, phy.n_leaves + 1)), leaf_states, model.q)
     if keep_internal:
-        return align, full
+        return align, nodes.T
     return align
 
 

@@ -159,32 +159,40 @@ class Topology:
         if n == 2 and n_internal != 0:
             raise ValueError("a 2-leaf topology is a bare edge")
 
-    def splits(self) -> frozenset:
-        """Non-trivial bipartitions, one per internal edge.
+    def split_masks(self) -> frozenset:
+        """Non-trivial splits, one per internal edge, each as the int
+        bitmask (bit l for leaf l) of the side without leaf 1.
 
-        Each split is a frozenset of the two leaf-label frozensets.
+        One walk from leaf 1: a node's mask ORs its children's masks, and
+        each internal node below an internal parent closes one split.
         """
-        out = set()
-        for u in self.adj:
-            for v in self.adj[u]:
-                if u < v or u in self.leaves or v in self.leaves:
-                    continue
-                side = self._leaves_beyond(u, v)
-                out.add(frozenset({side, self.leaves - side}))
+        parent, order = {1: None}, [1]
+        for v in order:                      # breadth-first; grows as it goes
+            for w in self.adj.get(v, ()):
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        mask, out = {}, set()
+        for v in reversed(order):
+            if v in self.leaves:
+                mask[v] = 1 << v
+                continue
+            mask[v] = 0
+            for w in self.adj[v]:
+                if w != parent[v]:
+                    mask[v] |= mask[w]
+            if parent[v] not in self.leaves:
+                out.add(mask[v])
         return frozenset(out)
 
-    def _leaves_beyond(self, u, v) -> frozenset:
-        """Leaves reachable from v when the edge u-v is removed."""
-        seen, stack, found = {u, v}, [v], []
-        while stack:
-            w = stack.pop()
-            if w in self.leaves:
-                found.append(w)
-            for x in self.adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return frozenset(found)
+    def splits(self) -> frozenset:
+        """Non-trivial bipartitions, one per internal edge: ``split_masks``
+        with each split as a frozenset of the two leaf-label frozensets."""
+        out = set()
+        for mask in self.split_masks():
+            side = frozenset(l for l in self.leaves if mask >> l & 1)
+            out.add(frozenset({side, self.leaves - side}))
+        return frozenset(out)
 
     def relabel(self, mapping: dict) -> "Topology":
         """New topology with leaf labels pushed through ``mapping``."""
@@ -241,10 +249,11 @@ def unroot(phy: Phylogeny) -> Topology:
 
 def robinson_foulds(t1: Topology, t2: Topology) -> int:
     """Robinson-Foulds distance: size of the symmetric difference of the
-    non-trivial split sets.  Requires identical leaf sets."""
+    non-trivial split sets, compared as bitmasks.  Requires identical
+    leaf sets."""
     if t1.leaves != t2.leaves:
         raise ValueError("topologies have different leaf sets")
-    return len(t1.splits() ^ t2.splits())
+    return len(t1.split_masks() ^ t2.split_masks())
 
 
 def topologies_equal(t1: Topology, t2: Topology) -> bool:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phyrec.asr import (
+    _posterior_batch,
     diluted_estimates,
     diluted_root_estimator,
     diluted_state_sets,
@@ -19,7 +20,7 @@ from phyrec.experiments import (
     calibrate_dilution,
     estimate_error_channel,
 )
-from phyrec.model import potts_rate_matrix, transition_matrix, validate_gtr
+from phyrec.model import delta_from_tau, potts_rate_matrix, transition_matrix, validate_gtr
 from phyrec.tree import Phylogeny, homogeneous_phylogeny, random_homogeneous_phylogeny
 
 
@@ -123,6 +124,31 @@ def test_majority_estimator():
             assert vec[i] == counts.argmax()
 
 
+def add_at_majority(leaf_batch, q, rng):
+    """Oracle: per-row counts scattered with np.add.at, then the same
+    sub-unit noise tie-break."""
+    n_rows = leaf_batch.shape[0]
+    counts = np.zeros((n_rows, q))
+    np.add.at(counts, (np.arange(n_rows)[:, None], leaf_batch), 1.0)
+    return np.argmax(counts + rng.random(counts.shape), axis=1).astype(np.int32)
+
+
+@pytest.mark.parametrize("q,n_rows,n", [(2, 500, 32), (3, 300, 9), (64, 400, 2),
+                                        (65, 50, 128), (4, 0, 8), (5, 7, 1)])
+def test_majority_estimates_matches_add_at_oracle(q, n_rows, n):
+    batch = np.random.default_rng(q + n).integers(q, size=(n_rows, n)).astype(np.int32)
+    got = majority_estimates(batch, q, np.random.default_rng(74))
+    want = add_at_majority(batch, q, np.random.default_rng(74))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_majority_estimates_rejects_states_outside_alphabet():
+    rng = np.random.default_rng(75)
+    for bad in ([[0, 2]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="leaf states must lie in 0..1"):
+            majority_estimates(np.array(bad), 2, rng)
+
+
 def test_estimate_error_channel_shallow_signal():
     phy = homogeneous_phylogeny(2, 0.25)
     est = estimate_error_channel(phy, 4, 1, 6000, np.random.default_rng(68))
@@ -197,6 +223,65 @@ def brute_posterior(phy, model, leaf_states):
             p *= edge[v][states[Phylogeny.parent(v)], states[v]]
         post[states[0]] += p
     return post / post.sum()
+
+
+def pruning_oracle(phy, model, leaf_batch):
+    """Felsenstein pruning with one-hot leaf messages, every node lifting
+    its children into fresh arrays."""
+    q = model.q
+    n_rows = leaf_batch.shape[0]
+    symmetric = model.is_symmetric
+    matrices = {}
+    messages = {}
+    for v in range(phy.n_nodes - 1, -1, -1):
+        if v >= phy.first_leaf:
+            msg = np.zeros((n_rows, q))
+            msg[np.arange(n_rows), leaf_batch[:, v - phy.first_leaf]] = 1.0
+        else:
+            msg = None
+            for c in Phylogeny.children(v):
+                child = messages.pop(c)
+                tau = float(phy.edge_tau[c])
+                if symmetric:
+                    delta = delta_from_tau(q, tau)
+                    up = delta * child.sum(axis=1, keepdims=True) \
+                        + (1.0 - q * delta) * child
+                else:
+                    if tau not in matrices:
+                        matrices[tau] = transition_matrix(model, tau)
+                    up = child @ matrices[tau].T
+                msg = up if msg is None else msg * up
+            msg = msg / np.maximum(msg.max(axis=1, keepdims=True), 1e-300)
+        messages[v] = msg
+    post = messages[0] * model.pi[None, :]
+    return post / post.sum(axis=1, keepdims=True)
+
+
+def skewed_pi_gtr(q=4):
+    rng = np.random.default_rng(76)
+    s = rng.uniform(0.5, 2.0, size=(q, q))
+    s = 0.5 * (s + s.T)
+    pi = np.array([0.85, 0.1, 0.04, 0.01])
+    rate = s * pi[None, :]
+    np.fill_diagonal(rate, 0.0)
+    np.fill_diagonal(rate, -rate.sum(axis=1))
+    return validate_gtr(q, rate, pi)[0]
+
+
+@pytest.mark.parametrize("model", [potts_rate_matrix(q) for q in (2, 3, 64, 65)]
+                         + [skewed_pi_gtr()],
+                         ids=["potts2", "potts3", "potts64", "potts65", "skewed-gtr"])
+@pytest.mark.parametrize("h", range(8))
+def test_posterior_batch_matches_pruning_oracle(model, h):
+    rng = np.random.default_rng(77 + h)
+    phy = random_homogeneous_phylogeny(h, 1e-4, 1.5, rng)
+    tau = phy.edge_tau.copy()
+    tau[2::4] = 0.0                     # zero-length edges among per-edge lengths
+    phy = Phylogeny(h, tau, phy.leaf_labels.copy())
+    leaves = rng.integers(model.q, size=(40, phy.n_leaves))
+    leaves[:5] = leaves[:5, :1]         # monochromatic rows
+    got = _posterior_batch(phy, model, leaves)
+    assert np.array_equal(got, pruning_oracle(phy, model, leaves))
 
 
 def test_exact_root_posterior_vs_enumeration():

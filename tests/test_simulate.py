@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from phyrec.errors import EnumerationTooLargeError
 from phyrec.model import potts_rate_matrix, transition_matrix, validate_gtr
 from phyrec.simulate import (
+    _NODE_SITE_BUDGET,
     Alignment,
     exact_leaf_distribution,
     potts_batch_sample,
@@ -148,20 +151,47 @@ def skewed_gtr_model():
     return validate_gtr(4, rate, pi)[0]
 
 
-@pytest.mark.parametrize("model", [potts_rate_matrix(2), potts_rate_matrix(64),
-                                   skewed_gtr_model()],
-                         ids=["potts2", "potts64", "skewed-gtr"])
-def test_grouped_sampler_matches_count_below(model):
+SAMPLER_MODELS = [potts_rate_matrix(q) for q in (2, 3, 5, 64, 65)] + [skewed_gtr_model()]
+SAMPLER_MODEL_IDS = ["potts2", "potts3", "potts5", "potts64", "potts65", "skewed-gtr"]
+
+
+@pytest.mark.parametrize("model", SAMPLER_MODELS, ids=SAMPLER_MODEL_IDS)
+@pytest.mark.parametrize("h,k", [(0, 0), (0, 1), (1, 0), (1, 1), (4, 700),
+                                 # several nodes a block, the last one short
+                                 (4, _NODE_SITE_BUDGET // 6),
+                                 # one node a block, so a level spans many
+                                 (3, _NODE_SITE_BUDGET + 1)])
+def test_grouped_sampler_matches_count_below(model, h, k):
     rng = np.random.default_rng(59)
-    phy = random_homogeneous_phylogeny(4, 0.01, 0.9, rng)
+    phy = random_homogeneous_phylogeny(h, 0.01, 0.9, rng)
     # zero-length edges give identity matrices, zeros off the diagonal
     tau = phy.edge_tau.copy()
     tau[1::3] = 0.0
-    phy = Phylogeny(4, tau, phy.leaf_labels.copy())
-    _, full = sample_alignment(phy, model, 700, np.random.default_rng(7),
-                               keep_internal=True)
-    want = count_below_sample(phy, model, 700, np.random.default_rng(7))
+    phy = Phylogeny(h, tau, phy.leaf_labels.copy())
+    draws = np.random.default_rng(7)
+    _, full = sample_alignment(phy, model, k, draws, keep_internal=True)
+    oracle = np.random.default_rng(7)
+    want = count_below_sample(phy, model, k, oracle)
     assert np.array_equal(full, want)
+    # both consumed the same stream
+    assert draws.random() == oracle.random()
+
+
+def test_sampler_memory_stays_flat():
+    """Peak traced memory of a 511-node, 4000-site draw: the (n_nodes, k)
+    states (8.2 MB) and the leaf copy (4.1 MB) plus the block temporaries,
+    which a 1 << 18 node-site budget would push to about 19 MB."""
+    phy = homogeneous_phylogeny(8, 0.2)
+    model = potts_rate_matrix(2)
+    rng = np.random.default_rng(60)
+    tracemalloc.start()
+    try:
+        align = sample_alignment(phy, model, 4000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert align.states.shape == (4000, 256)
+    assert peak < 15e6
 
 
 def test_degenerate_edges_copy_states():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,31 @@ def nx_splits(top):
         side = frozenset(x for x in comp if x in top.leaves)
         out.add(frozenset({side, top.leaves - side}))
         g.add_edge(u, v)
+    return frozenset(out)
+
+
+def frozenset_splits(top):
+    """Oracle: for each internal edge, walk the leaves beyond it and keep
+    both leaf sets as frozensets."""
+    def beyond(u, v):
+        seen, stack, found = {u, v}, [v], []
+        while stack:
+            w = stack.pop()
+            if w in top.leaves:
+                found.append(w)
+            for x in top.adj[w]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        return frozenset(found)
+
+    out = set()
+    for u in top.adj:
+        for v in top.adj[u]:
+            if u < v or u in top.leaves or v in top.leaves:
+                continue
+            side = beyond(u, v)
+            out.add(frozenset({side, top.leaves - side}))
     return frozenset(out)
 
 
@@ -184,6 +211,52 @@ def test_robinson_foulds_is_a_metric_on_examples():
         for t in tops:
             assert robinson_foulds(s, t) == robinson_foulds(t, s)
             assert (robinson_foulds(s, t) == 0) == topologies_equal(s, t)
+
+
+def caterpillar(n):
+    shape = 1
+    for label in range(2, n + 1):
+        shape = (shape, label)
+    return nested_topology(shape)
+
+
+def test_robinson_foulds_matches_frozenset_oracle():
+    rng = np.random.default_rng(35)
+    tops = [unroot(random_homogeneous_phylogeny(h, 0.1, 0.6, rng))
+            for h in (0, 1, 2, 3, 3, 4, 4, 5, 5, 6) for _ in range(2)]
+    tops += [caterpillar(n) for n in (3, 4, 5, 8, 16, 32, 64)]
+    tops += [t.relabel(dict(zip(range(1, len(t.leaves) + 1),
+                                (rng.permutation(len(t.leaves)) + 1).tolist())))
+             for t in tops]
+    for t in tops:
+        want = frozenset_splits(t)
+        assert t.splits() == want
+        assert len(t.split_masks()) == len(want) == max(0, len(t.leaves) - 3)
+        for mask in t.split_masks():
+            assert not mask & 0b11          # no bit 0, no leaf 1
+    for s in tops:
+        for t in tops:
+            if s.leaves == t.leaves:
+                want = len(frozenset_splits(s) ^ frozenset_splits(t))
+                assert robinson_foulds(s, t) == want
+
+
+def test_large_compare_memory():
+    """Two 4,096-leaf topologies compare in a few MB of traced memory:
+    one bitmask per split, not both leaf sets."""
+    rng = np.random.default_rng(36)
+    a = unroot(random_homogeneous_phylogeny(12, 0.1, 0.6, rng))
+    b = unroot(random_homogeneous_phylogeny(12, 0.1, 0.6, rng))
+    renamed = a.relabel({})
+    tracemalloc.start()
+    try:
+        same, rf = topologies_equal(a, renamed), robinson_foulds(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert 0 < rf <= 2 * (4096 - 3)
+    assert peak < 100e6
 
 
 def test_topologies_equal_ignores_internal_ids():
