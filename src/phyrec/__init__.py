@@ -3,9 +3,7 @@ threshold: symmetric/GTR models, samplers, diluted ancestral-state
 estimators, channel-inverting distances, and the level-by-level topology
 reconstruction that runs the gated four-point quartet test on them."""
 
-from .asr import (diluted_root_estimator, diluted_state_sets,
-                  diluted_tree_event, exact_root_posterior,
-                  majority_root_estimator)
+from .asr import diluted_state_sets, exact_root_posterior
 from .errors import (CalibrationError, CherryMatchingError,
                      EnumerationTooLargeError, InvalidModelError, NewickError,
                      PhyrecError, ReconstructionError)
@@ -15,7 +13,7 @@ from .experiments import (CalibrationResult, ErrorChannelEstimate, MinKResult,
                           distinguishability_probe, estimate_error_channel,
                           find_min_k, ptr_success_sweep)
 from .metric import (ConcentrationReport, distance_concentration_check,
-                     estimate_distance, pairwise_distance_matrix)
+                     pairwise_distance_matrix)
 from .model import (G_LIN, G_PERC, RateModel, Thresholds, delta_from_tau,
                     load_rate_model, potts_rate_matrix,
                     potts_transition_matrix, thresholds, transition_matrix,

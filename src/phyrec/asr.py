@@ -1,7 +1,8 @@
-"""Root-state estimators for a homogeneous subtree: diluted, majority
-and the exact posterior, each a batch function over rows of leaf states
-with a one-row scalar form.  Their Monte Carlo evaluation (error
-channel, dilution calibration, accuracy) lives in ``experiments``.
+"""Root-state estimators for a homogeneous subtree: diluted and majority
+estimates, each over rows of leaf states, and the exact posterior
+(``exact_root_posterior`` for one site, ``_posterior_batch`` for rows).
+Their Monte Carlo evaluation (error channel, dilution calibration,
+accuracy) lives in ``experiments``.
 
 The workhorse beyond the linear regime is the diluted-subtree estimator:
 state i is a candidate for the root when the tree contains an l-diluted
@@ -78,14 +79,6 @@ def diluted_state_sets(leaf_states: np.ndarray, q: int, l: int) -> np.ndarray:
     return result[0] if single else result
 
 
-def diluted_tree_event(leaf_states, state: int, l: int) -> bool:
-    """Does an l-diluted binary subtree with ``state`` at every bottom
-    vertex exist above these leaves?"""
-    leaf_states = np.asarray(leaf_states)
-    q = int(state) + 1          # only the indicator for ``state`` is needed
-    return bool(diluted_state_sets(leaf_states, q, l)[int(state)])
-
-
 def _rows_per_chunk(q: int, n: int) -> int:
     """Rows of n leaves whose (rows, q, n) one-hot work fits the budget."""
     return max(1, _BOOL_BUDGET // max(1, q * n))
@@ -101,14 +94,8 @@ def _diluted_guesses(sets: np.ndarray, rng) -> np.ndarray:
     return np.where(sets[np.arange(n_rows), x], x, y + (y >= x))
 
 
-def diluted_root_estimator(leaf_states, q: int, l: int, rng) -> int:
-    """Guess a uniform state; keep it when it is a diluted candidate,
-    otherwise answer uniformly among the remaining q-1 states."""
-    return int(diluted_estimates(np.asarray(leaf_states)[None, :], q, l, rng)[0])
-
-
 def diluted_estimates(leaf_batch: np.ndarray, q: int, l: int, rng) -> np.ndarray:
-    """Vectorised diluted_root_estimator over rows of (B, n)."""
+    """Guess-and-keep diluted root estimate per row of (B, n) leaf states."""
     n_rows, n = leaf_batch.shape
     chunk = _rows_per_chunk(q, n)
     out = np.empty(n_rows, dtype=np.int32)
@@ -118,14 +105,8 @@ def diluted_estimates(leaf_batch: np.ndarray, q: int, l: int, rng) -> np.ndarray
     return out
 
 
-def majority_root_estimator(leaf_states, rng) -> int:
-    """Plurality vote with uniform tie-breaking."""
-    leaf_states = np.asarray(leaf_states)
-    return int(majority_estimates(leaf_states[None, :], int(leaf_states.max()) + 1, rng)[0])
-
-
 def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
-    """Vectorised majority_root_estimator over rows of (B, n)."""
+    """Plurality vote per row of (B, n) leaf states, ties broken uniformly."""
     n_rows = leaf_batch.shape[0]
     if leaf_batch.size and (leaf_batch.min() < 0 or leaf_batch.max() >= q):
         raise ValueError(f"leaf states must lie in 0..{q - 1}")

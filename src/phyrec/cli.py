@@ -1,39 +1,33 @@
 """Command-line entry point wiring the whole package.
 
 Subcommands: gen-tree, simulate, reconstruct, compare, asr-eval, sweep,
-probe, verify.  Every randomised run takes a single --seed; when it is
+probe.  Every randomised run takes a single --seed; when it is
 omitted one is drawn from entropy and printed to stderr so the run can
 be repeated.  Output files begin with '#' comment lines recording the
 package version, the full configuration and the seed.
 
 Exit codes: 0 success, 1 usage or input error, 2 reconstruction failure
-(including `compare` reporting unequal trees), 3 verification failure.
+(including `compare` reporting unequal trees).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
-from .asr import diluted_state_sets, exact_root_posterior
 from .errors import PhyrecError, ReconstructionError
 from .experiments import (SweepConfig, asr_accuracy_sweep,
                           distinguishability_probe, ptr_success_sweep)
 from .metric import pairwise_distance_matrix
-from .model import (G_LIN, G_PERC, delta_from_tau, load_rate_model,
-                    potts_rate_matrix, potts_transition_matrix, thresholds,
-                    transition_matrix, validate_gtr)
-from .newick import parse_newick, read_newick_file, to_newick
-from .reconstruct import (ReconstructionParams, _quartet_relations,
-                          auto_reconstruction_params, reconstruct_homogeneous)
-from .simulate import (exact_leaf_distribution, potts_batch_sample,
-                       read_alignment, sample_alignment, write_alignment)
+from .model import load_rate_model, potts_rate_matrix
+from .newick import read_newick_file, to_newick
+from .reconstruct import (ReconstructionParams, auto_reconstruction_params,
+                          reconstruct_homogeneous)
+from .simulate import read_alignment, sample_alignment, write_alignment
 from .tree import (Phylogeny, Topology, homogeneous_phylogeny,
                    random_homogeneous_phylogeny, robinson_foulds,
                    topologies_equal, unroot)
@@ -41,7 +35,6 @@ from .tree import (Phylogeny, Topology, homogeneous_phylogeny,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RECONSTRUCTION = 2
-EXIT_VERIFY = 3
 
 
 def _float_list(text):
@@ -261,220 +254,6 @@ def cmd_probe(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: oracle / invariant battery
-
-
-def _check_potts_closed_form(rng):
-    from scipy.linalg import expm
-    worst = 0.0
-    for q in (2, 3, 4, 16, 64):
-        model = potts_rate_matrix(q)
-        for tau in (0.05, G_LIN, 0.5, G_PERC, 2.0):
-            closed = potts_transition_matrix(q, tau)
-            worst = max(worst,
-                        float(np.abs(closed - transition_matrix(model, tau)).max()),
-                        float(np.abs(closed - expm(tau * model.rate_matrix)).max()))
-    return worst < 1e-10, f"max deviation {worst:.2e}"
-
-
-def _random_gtr(rng, q):
-    flux = rng.uniform(0.2, 1.0, size=(q, q))
-    flux = flux + flux.T
-    pi = rng.uniform(0.5, 1.5, size=q)
-    pi /= pi.sum()
-    rate = flux / pi[:, None]
-    np.fill_diagonal(rate, 0.0)
-    np.fill_diagonal(rate, -rate.sum(axis=1))
-    model, _ = validate_gtr(q, rate, pi)
-    return model
-
-
-def _check_semigroup(rng):
-    worst = 0.0
-    for q in (2, 3, 5):
-        model = _random_gtr(rng, q)
-        for _ in range(5):
-            a, b = rng.uniform(0.05, 1.5, size=2)
-            lhs = transition_matrix(model, a) @ transition_matrix(model, b)
-            worst = max(worst, float(np.abs(lhs - transition_matrix(model, a + b)).max()))
-    return worst < 1e-10, f"max |M(a)M(b) - M(a+b)| = {worst:.2e}"
-
-
-def _check_stationarity(rng):
-    worst = 0.0
-    for q in (2, 4, 6):
-        model = _random_gtr(rng, q)
-        for tau in (0.1, 0.7, 2.0):
-            m = transition_matrix(model, tau)
-            worst = max(worst, float(np.abs(model.pi @ m - model.pi).max()))
-    return worst < 1e-12, f"max |pi M - pi| = {worst:.2e}"
-
-
-def _check_delta_monotone(rng):
-    taus = np.linspace(0.0, 4.0, 60)
-    for q in (2, 4, 64):
-        deltas = [delta_from_tau(q, t) for t in taus]
-        if not all(a < b for a, b in zip(deltas, deltas[1:])):
-            return False, f"delta not strictly increasing for q={q}"
-    return True, "delta strictly increasing in tau"
-
-
-def _check_thresholds(rng):
-    model = potts_rate_matrix(4)
-    th = thresholds(model)
-    ok = (math.isclose(th.g_lin, 0.5 * math.log(2))
-          and math.isclose(th.g_perc, math.log(2))
-          and math.isclose(th.g_lin_bio, (3.0 / 8.0) * math.log(2)))
-    return ok, (f"g_lin={th.g_lin:.6f} g_perc={th.g_perc:.6f} "
-                f"bio(q=4)={th.g_lin_bio:.6f}")
-
-
-def _check_newick_roundtrip(rng):
-    phy = random_homogeneous_phylogeny(3, 0.1, 0.6, rng)
-    back = parse_newick(to_newick(phy))
-    if not isinstance(back, Phylogeny):
-        return False, "phylogeny did not round-trip as a phylogeny"
-    same_metric = np.allclose(
-        sorted(phy.edge_tau[1:]), sorted(back.edge_tau[1:]), atol=1e-8)
-    if not (same_metric and topologies_equal(unroot(phy), unroot(back))):
-        return False, "phylogeny round-trip changed the tree"
-    top = unroot(phy)
-    if not topologies_equal(top, parse_newick(to_newick(top))):
-        return False, "topology round-trip changed the splits"
-    return True, "phylogeny and topology round-trips exact"
-
-
-def _check_four_point(rng):
-    # Quartet 12|34 with pendant edges 0.1 and internal edge 0.05, so
-    # F(12|34) = 0.05: accepted at f_min/2 = 0.045, refused at 0.055.
-    d = np.full((4, 4), 0.25)
-    d[0, 1] = d[1, 0] = d[2, 3] = d[3, 2] = 0.2
-    np.fill_diagonal(d, 0.0)
-    gate = 1.0 + math.log(20.0 / 4.0)
-    together, separated = _quartet_relations(d, gate, 0.09)
-    cross = np.zeros((4, 4), dtype=bool)
-    cross[:2, 2:] = cross[2:, :2] = True
-    accepted = (np.array_equal(together, ~cross & ~np.eye(4, dtype=bool))
-                and np.array_equal(separated, cross))
-    refused = not any(r.any() for r in _quartet_relations(d, gate, 0.11))
-    return accepted and refused, (f"12|34 accepted at f_min=0.09: {accepted}, "
-                                  f"nothing accepted at f_min=0.11: {refused}")
-
-
-def _check_sampler_agreement(rng):
-    phy = homogeneous_phylogeny(2, 0.4)
-    model = potts_rate_matrix(3)
-    law = exact_leaf_distribution(phy, model).reshape(-1)
-    n_samples = 20000
-    bound = (law.size - 1) + 6 * math.sqrt(2 * (law.size - 1))
-    powers = 3 ** np.arange(3, -1, -1)
-    # leaf positions follow labels on this tree, so both share the law's axes
-    samples = {"broadcast": sample_alignment(phy, model, n_samples, rng).states,
-               "potts-batch": potts_batch_sample(phy, 3, n_samples,
-                                                 rng)[:, phy.first_leaf:]}
-    stats = {}
-    for name, leaves in samples.items():
-        observed = np.bincount(leaves @ powers, minlength=law.size)
-        expected = law * n_samples
-        stats[name] = float(((observed - expected) ** 2 / expected).sum())
-    ok = all(s < bound for s in stats.values())
-    detail = ", ".join(f"{k} chi2={v:.1f}" for k, v in stats.items())
-    return ok, f"{detail} (bound {bound:.1f})"
-
-
-def _check_posterior(rng):
-    worst = 0.0
-    for _ in range(5):
-        model = _random_gtr(rng, 3)
-        phy = random_homogeneous_phylogeny(2, 0.1, 0.8, rng)
-        leaves = rng.integers(3, size=4)
-        # Brute force: joint law of (root, leaves) summed over internal states.
-        mats = {v: transition_matrix(model, phy.edge_tau[v]) for v in range(1, 7)}
-        post = np.zeros(3)
-        for root in range(3):
-            total = 0.0
-            for s1 in range(3):
-                for s2 in range(3):
-                    total += (mats[1][root, s1] * mats[2][root, s2]
-                              * mats[3][s1, leaves[0]] * mats[4][s1, leaves[1]]
-                              * mats[5][s2, leaves[2]] * mats[6][s2, leaves[3]])
-            post[root] = model.pi[root] * total
-        post /= post.sum()
-        got = exact_root_posterior(phy, model, leaves)
-        worst = max(worst, float(np.abs(got - post).max()))
-    return worst < 1e-10, f"max posterior deviation {worst:.2e}"
-
-
-def _reference_diluted(leaves, state, l):
-    """Slow recursive definition of the diluted-subtree event."""
-    h = int(len(leaves)).bit_length() - 1
-    big = l * math.ceil(h / l) if h else 0
-    padded = np.repeat(leaves, 2 ** (big - h)) if big > h else np.asarray(leaves)
-
-    def good(block):
-        if len(block) == 1:
-            return block[0] == state
-        width = len(block) // 2 ** l
-        return sum(good(block[i * width:(i + 1) * width])
-                   for i in range(2 ** l)) >= 2
-
-    return good(padded)
-
-
-def _check_diluted_event(rng):
-    for q, h, l in ((2, 3, 2), (3, 2, 1), (2, 2, 2)):
-        n = 2 ** h
-        for code in range(q ** n):
-            leaves = np.array([(code // q ** i) % q for i in range(n)])
-            sets = diluted_state_sets(leaves, q, l)
-            for state in range(q):
-                if bool(sets[state]) != _reference_diluted(leaves, state, l):
-                    return False, f"mismatch at q={q} h={h} l={l} leaves={leaves}"
-    return True, "all leaf patterns match the recursive definition"
-
-
-def _check_distance_formula(rng):
-    from .metric import estimate_distance
-    one = estimate_distance([0, 0, 0, 0], [1, 0, 0, 0], 2)
-    sat = estimate_distance([0, 1], [1, 1], 2)
-    ok = math.isclose(one, math.log(2)) and math.isinf(sat)
-    return ok, f"one-in-four -> {one:.6f} (ln 2), half mismatch -> {sat}"
-
-
-_VERIFY_CHECKS = [
-    ("potts-closed-form", _check_potts_closed_form),
-    ("semigroup", _check_semigroup),
-    ("stationarity", _check_stationarity),
-    ("delta-monotone", _check_delta_monotone),
-    ("thresholds", _check_thresholds),
-    ("newick-roundtrip", _check_newick_roundtrip),
-    ("four-point-exact", _check_four_point),
-    ("sampler-agreement", _check_sampler_agreement),
-    ("posterior-enumeration", _check_posterior),
-    ("diluted-event", _check_diluted_event),
-    ("distance-formula", _check_distance_formula),
-]
-
-
-def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-    width = max(len(name) for name, _ in _VERIFY_CHECKS)
-    for name, check in _VERIFY_CHECKS:
-        start = time.perf_counter()
-        try:
-            ok, detail = check(rng)
-        except Exception as exc:   # a crashing check is a failing check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        failures += not ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name:<{width}}  {detail}  "
-              f"[{time.perf_counter() - start:.2f}s]")
-    print(f"{len(_VERIFY_CHECKS) - failures}/{len(_VERIFY_CHECKS)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
-
-
-# ---------------------------------------------------------------------------
 # Parser plumbing
 
 
@@ -578,9 +357,6 @@ def _build_parser():
                    default="majority")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-
-    p = sub("verify", cmd_verify, help="run the oracle/invariant battery")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser, registry
 

@@ -25,16 +25,6 @@ from .simulate import sample_alignment
 from .tree import Phylogeny, tree_metric
 
 
-def estimate_distance(seq_u, seq_v, q: int) -> float:
-    """Channel-inverting distance between two aligned state sequences: a
-    one-pair call of ``pairwise_distance_matrix``, which refuses empty ones."""
-    seq_u, seq_v = np.asarray(seq_u), np.asarray(seq_v)
-    if seq_u.shape != seq_v.shape or seq_u.ndim != 1:
-        raise ValueError(
-            f"sequences must be 1-d and of equal length, got {seq_u.shape} vs {seq_v.shape}")
-    return float(pairwise_distance_matrix(np.stack([seq_u, seq_v]), q)[0, 1])
-
-
 def pairwise_distance_matrix(seqs: np.ndarray, q: int) -> np.ndarray:
     """Channel-inverting distances between all rows of (m, k).  Saturated
     entries (agreement count at most k/q) are +inf; the diagonal is zero."""
@@ -84,7 +74,6 @@ class ConcentrationReport:
     rate_near_ungated: float    # tau_hat <= D + ln(W/4) on pairs with tau < D + ln(W/5)
     rate_far_gated: float       # tau_hat > D + ln(W/4) on the far pairs
     counts: dict
-    cprime: float | None = None
 
     def gate_classification_rate(self) -> float:
         """Accuracy of the gate decision over both far and near classes."""
@@ -139,21 +128,3 @@ def distance_concentration_check(phy: Phylogeny, model, k: int, D: float,
         counts={"concentration": int(near_conc.sum()), "far": int(far.sum()),
                 "near_gate": int(near_gate.sum())})
 
-
-def find_min_cprime(phy: Phylogeny, model, D: float, delta: float, rng,
-                    W: float = 20.0, required: float = 0.99, trials: int = 40,
-                    k_start: int = 125, k_cap: int = 10 ** 6) -> tuple:
-    """Double k until concentration and gate rates reach ``required``;
-    returns (k, cprime) with cprime = k / ln n, or (None, None) if the
-    cap is exceeded."""
-    n = phy.n_leaves
-    k = k_start
-    while k <= k_cap:
-        report = distance_concentration_check(phy, model, k, D, delta, trials, rng, W=W)
-        ok = (report.rate_concentration >= required
-              and report.rate_near_ungated >= required
-              and report.rate_far_gated >= required)
-        if ok:
-            return k, k / math.log(n)
-        k *= 2
-    return None, None

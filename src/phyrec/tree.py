@@ -37,9 +37,9 @@ class Phylogeny:
             raise ValueError(
                 f"edge_tau must have one entry per node ({n_nodes}), got {tau.shape}")
         # tau = 0 is tolerated (degenerate edges used by samplers and
-        # dilution padding); negative lengths never are.
-        if np.any(tau < 0):
-            raise ValueError("edge lengths must be >= 0")
+        # dilution padding); negative or non-finite lengths never are.
+        if not np.all(np.isfinite(tau) & (tau >= 0)):
+            raise ValueError("edge lengths must be finite and >= 0")
         labels = np.asarray(self.leaf_labels, dtype=int)
         n = 2 ** self.h
         if sorted(labels.tolist()) != list(range(1, n + 1)):
@@ -89,6 +89,8 @@ def homogeneous_phylogeny(h: int, tau) -> Phylogeny:
 def random_homogeneous_phylogeny(h: int, f: float, g: float, rng) -> Phylogeny:
     """Random instance: each edge length uniform on [f, g] (fixed g when
     f == g) and a uniformly random leaf labelling."""
+    if not (np.isfinite(f) and np.isfinite(g)):
+        raise ValueError(f"edge length bounds must be finite, got f={f}, g={g}")
     if f <= 0:
         raise ValueError(f"minimum edge length must be > 0, got {f}")
     if f > g:

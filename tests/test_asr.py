@@ -7,12 +7,9 @@ import pytest
 from phyrec.asr import (
     _posterior_batch,
     diluted_estimates,
-    diluted_root_estimator,
     diluted_state_sets,
-    diluted_tree_event,
     exact_root_posterior,
     majority_estimates,
-    majority_root_estimator,
 )
 from phyrec.errors import CalibrationError
 from phyrec.experiments import (
@@ -67,13 +64,12 @@ def test_diluted_state_sets_random_patterns(q, h, l, seed):
         assert row.tolist() == oracle_candidates(pattern, q, l)
 
 
-def test_diluted_tree_event_matches_sets():
+def test_diluted_state_sets_one_row_matches_batch():
     rng = np.random.default_rng(64)
-    for _ in range(50):
-        pattern = rng.integers(3, size=8)
-        sets = diluted_state_sets(pattern, 3, 2)
-        for state in range(3):
-            assert diluted_tree_event(pattern, state, 2) == bool(sets[state])
+    batch = rng.integers(3, size=(50, 8))
+    sets = diluted_state_sets(batch, 3, 2)
+    for pattern, row in zip(batch, sets):
+        assert np.array_equal(diluted_state_sets(pattern, 3, 2), row)
 
 
 def test_diluted_state_sets_rejects_bad_input():
@@ -88,7 +84,7 @@ def test_diluted_estimator_law_on_monochromatic_leaves():
     # rule then answers 3 with probability 1/4 + (3/4)(1/3) = 1/2
     leaves = np.full(4, 3)
     rng = np.random.default_rng(65)
-    draws = np.array([diluted_root_estimator(leaves, 4, 1, rng)
+    draws = np.array([diluted_estimates(leaves[None, :], 4, 1, rng)[0]
                       for _ in range(3000)])
     freq3 = np.mean(draws == 3)
     assert abs(freq3 - 0.5) < 0.05
@@ -97,8 +93,8 @@ def test_diluted_estimator_law_on_monochromatic_leaves():
 
 
 def test_diluted_estimates_matches_scalar_law():
-    # tile one fixed leaf vector: the batched estimator must reproduce the
-    # guess-and-keep law of the scalar one (candidate set {3}, see above)
+    # tile one fixed leaf vector: a many-row batch must reproduce the
+    # guess-and-keep law of one-row calls (candidate set {3}, see above)
     batch = np.tile(np.full((1, 4), 3), (3000, 1))
     draws = diluted_estimates(batch, 4, 1, np.random.default_rng(66))
     assert draws.shape == (3000,)
@@ -109,13 +105,13 @@ def test_diluted_estimates_matches_scalar_law():
 
 def test_majority_estimator():
     rng = np.random.default_rng(67)
-    assert majority_root_estimator(np.array([0, 0, 1, 2]), rng) == 0
-    assert majority_root_estimator(np.array([2, 2, 2, 2]), rng) == 2
+    assert majority_estimates(np.array([[0, 0, 1, 2]]), 3, rng)[0] == 0
+    assert majority_estimates(np.array([[2, 2, 2, 2]]), 3, rng)[0] == 2
     # two-way tie breaks uniformly
     draws = majority_estimates(np.tile(np.array([[0, 1]]), (2000, 1)), 2, rng)
     ones = int(draws.sum())
     assert 800 < ones < 1200
-    # vectorised and scalar paths agree on untied rows
+    # the batch agrees with per-row counts on untied rows
     batch = rng.integers(3, size=(300, 9))
     vec = majority_estimates(batch, 3, rng)
     for i in range(300):

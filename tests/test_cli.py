@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from phyrec.cli import (
     EXIT_OK,
     EXIT_RECONSTRUCTION,
     EXIT_USAGE,
-    EXIT_VERIFY,
+    _build_parser,
     main,
 )
 from phyrec.newick import parse_newick, read_newick_file
@@ -21,8 +23,18 @@ def test_usage_errors_exit_one(capsys):
     assert main(["gen-tree"]) == EXIT_USAGE          # --h is required
     assert main(["gen-tree", "--h", "2"]) == EXIT_USAGE  # no lengths given
     assert main(["no-such-command"]) == EXIT_USAGE
+    assert main(["verify"]) == EXIT_USAGE              # retired subcommand
     assert main(["--version"]) == EXIT_OK
     capsys.readouterr()
+    # non-finite edge lengths are refused with a message; zero is legal
+    for lengths in (["--tau", "nan"], ["--tau", "inf"], ["--tau=-inf"],
+                    ["--f", "0.1", "--g", "nan"], ["--f", "nan", "--g", "0.5"],
+                    ["--f", "0.1", "--g", "inf"]):
+        assert main(["gen-tree", "--h", "1", "--seed", "1"] + lengths) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err, lengths
+    assert main(["gen-tree", "--h", "1", "--tau", "0", "--seed", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "(1:0,2:0);"
 
 
 def test_gen_tree_writes_header_and_tree(tmp_path):
@@ -229,9 +241,10 @@ def test_missing_files_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_verify_battery_passes(capsys):
-    assert main(["verify", "--seed", "0"]) == EXIT_OK
-    printed = capsys.readouterr().out
-    assert "11/11 checks passed" in printed
-    assert "FAIL" not in printed
-    assert EXIT_VERIFY == 3
+def test_readme_advertises_exactly_the_registered_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    advertised = {m for block in blocks
+                  for m in re.findall(r"^\s*phyrec ([a-z][a-z-]*)", block, re.M)}
+    _, registry = _build_parser()
+    assert advertised == set(registry)

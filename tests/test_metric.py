@@ -6,8 +6,6 @@ import pytest
 from phyrec.metric import (
     ConcentrationReport,
     distance_concentration_check,
-    estimate_distance,
-    find_min_cprime,
     pairwise_distance_matrix,
 )
 from phyrec.model import potts_rate_matrix
@@ -15,26 +13,29 @@ from phyrec.reconstruct import _quartet_relations
 from phyrec.tree import Phylogeny
 
 
+def pair_distance(seq_u, seq_v, q):
+    """One pair's entry of the distance matrix."""
+    return pairwise_distance_matrix(np.stack([seq_u, seq_v]), q)[0, 1]
+
+
 def test_estimate_distance_formula():
     # q=2, one mismatch in four sites: -ln(1 - 2/4) = ln 2
-    assert estimate_distance([0, 0, 0, 0], [1, 0, 0, 0], 2) == \
+    assert pair_distance([0, 0, 0, 0], [1, 0, 0, 0], 2) == \
         pytest.approx(math.log(2.0), abs=1e-15)
     # identical sequences sit at distance zero
-    assert estimate_distance([1, 2, 0], [1, 2, 0], 3) == 0.0
+    assert pair_distance([1, 2, 0], [1, 2, 0], 3) == 0.0
+    # q=2: half the sites mismatch, the saturation point
+    assert pair_distance([0, 1], [1, 1], 2) == math.inf
     # q=4: mismatch fraction 3/4 hits the saturation point exactly
-    assert estimate_distance([0, 1, 2, 3], [1, 2, 3, 3], 4) == math.inf
+    assert pair_distance([0, 1, 2, 3], [1, 2, 3, 3], 4) == math.inf
     # generic value: mismatch 2/5 at q=3 -> -ln(1 - 1.5 * 0.4)
-    got = estimate_distance([0, 1, 2, 0, 1], [0, 1, 0, 1, 1], 3)
+    got = pair_distance([0, 1, 2, 0, 1], [0, 1, 0, 1, 1], 3)
     assert got == pytest.approx(-math.log(1.0 - 1.5 * 0.4), abs=1e-15)
 
 
 def test_estimate_distance_validation():
-    with pytest.raises(ValueError):
-        estimate_distance([0, 1], [0], 2)
-    with pytest.raises(ValueError):
-        estimate_distance([], [], 2)
-    with pytest.raises(ValueError):
-        estimate_distance(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), 2)
+    with pytest.raises(ValueError, match="empty"):
+        pairwise_distance_matrix(np.zeros((2, 0), dtype=int), 2)
 
 
 @pytest.mark.parametrize("q", [3, 16])
@@ -46,8 +47,6 @@ def test_pairwise_matrix_matches_scalar_estimates(q):
     assert np.allclose(np.diag(mat), 0.0)
     for i in range(6):
         for j in range(i + 1, 6):
-            # the scalar is one pair of the matrix; the closed form is the oracle
-            assert estimate_distance(seqs[i], seqs[j], q) == mat[i, j]
             arg = 1.0 - q * np.mean(seqs[i] != seqs[j]) / (q - 1.0)
             want = -math.log(arg) if arg > 0 else math.inf
             assert mat[i, j] == mat[j, i]
@@ -63,10 +62,10 @@ def test_pairwise_matrix_saturates_exactly():
     for k in (12, 24):
         seq_u = np.zeros(k, dtype=int)
         seq_v = np.arange(k) % 12
-        assert estimate_distance(seq_u, seq_v, 12) == math.inf
+        assert pair_distance(seq_u, seq_v, 12) == math.inf
     # one more agreement leaves the pair finite
     seq_v = np.r_[0, 0, np.arange(2, 24) % 12]
-    assert math.isfinite(estimate_distance(np.zeros(24, dtype=int), seq_v, 12))
+    assert math.isfinite(pair_distance(np.zeros(24, dtype=int), seq_v, 12))
 
 
 def test_pairwise_matrix_refuses_inexact_float32_counts():
@@ -176,17 +175,3 @@ def test_distance_concentration_check_smoke():
     assert 0.0 <= report.rate_far_deep <= 1.0
     assert report.gate_classification_rate() > 0.9
 
-
-def test_find_min_cprime_doubles_until_good():
-    phy = gate_check_phylogeny()
-    k, cprime = find_min_cprime(
-        phy, potts_rate_matrix(2), D=1.0, delta=0.2,
-        rng=np.random.default_rng(84), W=20.0, required=0.85,
-        trials=6, k_start=125, k_cap=1 << 16)
-    assert k is not None
-    assert cprime == pytest.approx(k / math.log(8))
-    censored = find_min_cprime(
-        phy, potts_rate_matrix(2), D=1.0, delta=0.01,
-        rng=np.random.default_rng(85), W=20.0, required=0.999,
-        trials=4, k_start=64, k_cap=128)
-    assert censored == (None, None)

@@ -69,6 +69,11 @@ def test_delta_spot_values():
     assert delta_from_tau(3, 0.0) == 0.0
     with pytest.raises(ValueError):
         delta_from_tau(2, -0.1)
+    # delta rises strictly with tau
+    taus = np.linspace(0.0, 4.0, 60)
+    for q in (2, 4, 64):
+        deltas = [delta_from_tau(q, t) for t in taus]
+        assert all(a < b for a, b in zip(deltas, deltas[1:])), q
 
 
 def test_transition_matrix_properties():
@@ -86,6 +91,12 @@ def test_transition_matrix_properties():
         assert np.allclose(flux, flux.T, atol=1e-12)
     with pytest.raises(ValueError):
         transition_matrix(model, -0.5)
+    # pi is stationary: pi M(tau) = pi
+    for q in (2, 4, 6):
+        model, _ = validate_gtr(q, *random_gtr(q, rng))
+        for tau in (0.1, 0.7, 2.0):
+            drift = model.pi @ transition_matrix(model, tau) - model.pi
+            assert np.abs(drift).max() < 1e-12, (q, tau)
 
 
 def test_semigroup_property_gtr():

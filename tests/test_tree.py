@@ -103,6 +103,12 @@ def test_phylogeny_validation():
                   leaf_labels=np.array([1, 2]))
     with pytest.raises(ValueError):
         Phylogeny(h=1, edge_tau=np.zeros(3), leaf_labels=np.array([1, 3]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Phylogeny(h=1, edge_tau=np.array([0.0, bad, 0.2]),
+                      leaf_labels=np.array([1, 2]))
+    # zero-length edges stay legal
+    assert Phylogeny(h=1, edge_tau=np.zeros(3), leaf_labels=np.array([1, 2])).h == 1
 
 
 def test_random_homogeneous_phylogeny():
@@ -119,6 +125,9 @@ def test_random_homogeneous_phylogeny():
         random_homogeneous_phylogeny(2, 0.0, 0.5, rng)
     with pytest.raises(ValueError):
         random_homogeneous_phylogeny(2, 0.6, 0.5, rng)
+    for f, g in ((0.1, np.nan), (np.nan, 0.5), (0.1, np.inf), (np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            random_homogeneous_phylogeny(2, f, g, rng)
 
 
 def test_tree_metric_against_networkx_paths():
