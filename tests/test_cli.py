@@ -26,6 +26,9 @@ def test_usage_errors_exit_one(capsys):
     assert main(["verify"]) == EXIT_USAGE              # retired subcommand
     assert main(["--version"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_gen_tree_refuses_non_finite_lengths(capsys):
     # non-finite edge lengths are refused with a message; zero is legal
     for lengths in (["--tau", "nan"], ["--tau", "inf"], ["--tau=-inf"],
                     ["--f", "0.1", "--g", "nan"], ["--f", "nan", "--g", "0.5"],

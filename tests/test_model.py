@@ -69,7 +69,9 @@ def test_delta_spot_values():
     assert delta_from_tau(3, 0.0) == 0.0
     with pytest.raises(ValueError):
         delta_from_tau(2, -0.1)
-    # delta rises strictly with tau
+
+
+def test_delta_rises_strictly_with_tau():
     taus = np.linspace(0.0, 4.0, 60)
     for q in (2, 4, 64):
         deltas = [delta_from_tau(q, t) for t in taus]
@@ -91,7 +93,11 @@ def test_transition_matrix_properties():
         assert np.allclose(flux, flux.T, atol=1e-12)
     with pytest.raises(ValueError):
         transition_matrix(model, -0.5)
-    # pi is stationary: pi M(tau) = pi
+
+
+def test_pi_is_stationary_under_transition_matrix():
+    # pi M(tau) = pi for any reversible model and any tau
+    rng = np.random.default_rng(26)
     for q in (2, 4, 6):
         model, _ = validate_gtr(q, *random_gtr(q, rng))
         for tau in (0.1, 0.7, 2.0):

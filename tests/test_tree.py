@@ -103,6 +103,9 @@ def test_phylogeny_validation():
                   leaf_labels=np.array([1, 2]))
     with pytest.raises(ValueError):
         Phylogeny(h=1, edge_tau=np.zeros(3), leaf_labels=np.array([1, 3]))
+
+
+def test_phylogeny_refuses_non_finite_lengths():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             Phylogeny(h=1, edge_tau=np.array([0.0, bad, 0.2]),
