@@ -57,8 +57,10 @@ def diluted_state_sets(leaf_states: np.ndarray, q: int, l: int) -> np.ndarray:
     batch = leaf_states[None, :] if single else leaf_states
     h = _levels_of(batch.shape[1])
 
-    # one-hot (B, q, n): leaf qualifies for state i iff it carries i
-    qual = batch[:, None, :] == np.arange(q)[None, :, None]
+    # one-hot (B, q, n): leaf qualifies for state i iff it carries i.
+    # Rows innermost, so each count/any reduction below adds whole slabs
+    # of B rows instead of runs of 2^l bytes.
+    qual = np.asfortranarray(batch)[:, None, :] == np.arange(q)[None, :, None]
     if h > 0:
         big = l * math.ceil(h / l)
         pad = big - h

@@ -8,6 +8,7 @@ with a trifurcating root (or as a bare pair for n = 2) and no lengths.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import NewickError
@@ -15,6 +16,7 @@ from .tree import Phylogeny, Topology, nested_topology
 
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _LABEL = re.compile(r"\d+")
+_TOKEN = re.compile(r"[^\s,();]*")
 
 
 def _fmt(x: float) -> str:
@@ -130,11 +132,13 @@ class _Parser:
         if self.peek() == ":":
             self.pos += 1
             self.skip_ws()
-            match = _NUMBER.match(self.text, self.pos)
-            if not match:
+            token = _TOKEN.match(self.text, self.pos).group()
+            if not token:
                 self.error("expected a branch length after ':'")
-            self.pos = match.end()
-            length = float(match.group())
+            length = float(token) if _NUMBER.fullmatch(token) else math.nan
+            if not math.isfinite(length):   # nan, inf, -0.1, overflow, junk
+                self.error(f"branch length must be a finite number >= 0, got {token!r}")
+            self.pos += len(token)
         return node, length
 
 

@@ -1,10 +1,11 @@
 """Sampling site patterns on phylogenies, plus the exact leaf law.
 
 ``sample_alignment`` broadcasts sites one tree level at a time through
-the transition matrices of any rate model.  ``potts_batch_sample`` is the
-vectorised copy-or-refresh sampler for symmetric models that the Monte
-Carlo drivers use.  Both are tested against the exact leaf law, and
-against the random-cluster mechanism kept in the tests as an oracle.
+the transition matrices of any rate model.  ``potts_batch_sample``, which
+the Monte Carlo drivers use, runs the same kernel under the symmetric
+model and returns every node's states.  Both are tested against the exact
+leaf law, and against the random-cluster mechanism kept in the tests as
+an oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationTooLargeError
-from .model import RateModel, transition_matrix
+from .model import RateModel, potts_rate_matrix, transition_matrix
 from .tree import Phylogeny
 
 EXACT_ENUMERATION_LIMIT = 10 ** 6
@@ -97,19 +98,12 @@ def _broadcast_sites(phy: Phylogeny, model: RateModel, k: int, rng) -> np.ndarra
 
 
 def potts_batch_sample(phy: Phylogeny, q: int, n_samples: int, rng) -> np.ndarray:
-    """Vectorised symmetric-model sampler, (n_samples, n_nodes).
+    """Symmetric-model samples of every node, (n_samples, n_nodes).
 
-    Copy-or-refresh per edge: keep the parent state with probability
-    exp(-tau), otherwise draw a fresh uniform state.
+    The broadcast kernel under ``potts_rate_matrix(q)``, returned as a
+    view of its node-major states, so each node's column is contiguous.
     """
-    states = np.empty((n_samples, phy.n_nodes), dtype=np.int32)
-    states[:, 0] = rng.integers(q, size=n_samples)
-    keep_prob = np.exp(-phy.edge_tau)
-    for v in range(1, phy.n_nodes):
-        keep = rng.random(n_samples) < keep_prob[v]
-        fresh = rng.integers(q, size=n_samples).astype(np.int32)
-        states[:, v] = np.where(keep, states[:, Phylogeny.parent(v)], fresh)
-    return states
+    return _broadcast_sites(phy, potts_rate_matrix(q), n_samples, rng).T
 
 
 def sample_alignment(phy: Phylogeny, model: RateModel, k: int, rng,

@@ -72,6 +72,17 @@ def test_diluted_state_sets_one_row_matches_batch():
         assert np.array_equal(diluted_state_sets(pattern, 3, 2), row)
 
 
+@pytest.mark.parametrize("q,h,l", [(4, 6, 3), (64, 3, 3), (4, 4, 3), (8, 5, 2)])
+def test_diluted_state_sets_ignore_memory_layout(q, h, l):
+    # (4, 6, 3) and (64, 3, 3) divide the levels, (4, 4, 3) and (8, 5, 2) pad
+    rng = np.random.default_rng(65)
+    batch = rng.integers(q, size=(300, 2 ** h))
+    c_sets = diluted_state_sets(np.ascontiguousarray(batch), q, l)
+    f_sets = diluted_state_sets(np.asfortranarray(batch), q, l)
+    assert np.array_equal(c_sets, f_sets)
+    assert 0 < c_sets.sum() < c_sets.size
+
+
 def test_diluted_state_sets_rejects_bad_input():
     with pytest.raises(ValueError):
         diluted_state_sets(np.zeros(8, dtype=int), 2, 0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +67,39 @@ def test_pairwise_matrix_saturates_exactly():
     # one more agreement leaves the pair finite
     seq_v = np.r_[0, 0, np.arange(2, 24) % 12]
     assert math.isfinite(pair_distance(np.zeros(24, dtype=int), seq_v, 12))
+
+
+def byte_row_distances(seqs, q):
+    """Oracle for q > 8: agreement counts from comparing the states row by
+    row, then the library's channel inversion and saturation rule."""
+    m, k = seqs.shape
+    agree = np.empty((m, m), dtype=np.float64)
+    for i in range(m):
+        agree[i] = (seqs == seqs[i]).sum(axis=1)
+    arg = 1.0 - (q / (q - 1.0)) * (1.0 - agree / k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.where(q * agree > k, -np.log(np.maximum(arg, 1e-300)), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@pytest.mark.parametrize("q,k", [*itertools.product((9, 12, 20, 64, 255),
+                                                    (1, 63, 64, 65, 4000)),
+                                 (12, 12), (12, 4008), (300, 4000)])
+def test_bit_plane_distances_match_byte_rows(q, k):
+    rng = np.random.default_rng(1000 * q + k)
+    seqs = rng.integers(q, size=(12, k))
+    seqs[1] = seqs[0]                       # equal rows
+    seqs[2, :k // 2] = seqs[0, :k // 2]     # half-equal rows
+    seqs[3] = q - 1                         # every bit plane set
+    if k % q == 0:
+        # agreement exactly k/q, mismatch (q-1)/q: saturated
+        seqs[4], seqs[5] = 0, np.arange(k) % q
+    got = pairwise_distance_matrix(seqs, q)
+    assert np.array_equal(got, byte_row_distances(seqs, q))
+    assert got[0, 1] == 0.0
+    if k % q == 0:
+        assert got[4, 5] == math.inf
 
 
 def test_pairwise_matrix_refuses_inexact_float32_counts():

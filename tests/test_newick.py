@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ def test_parse_errors_carry_positions():
     with pytest.raises(NewickError, match=r"leaf labels must be integers 1\.\.n, "
                        r"got 0 \(at position 8\)"):
         parse_newick("((1,2),(0,3));")
+    # a written but unusable branch length is quoted, not reported missing
+    for token in ("nan", "inf", "-0.1", "1e400", "0.1x"):
+        with pytest.raises(NewickError, match=r"branch length must be a finite "
+                           rf"number >= 0, got '{re.escape(token)}' \(at position 3\)"):
+            parse_newick(f"(1:{token},2:0.1);")
+    with pytest.raises(NewickError, match=r"expected a branch length after ':' "
+                       r"\(at position 3\)"):
+        parse_newick("(1:,2:0.1);")
     with pytest.raises(NewickError) as exc:
         parse_newick("((1,2),(3,4)")
     assert exc.value.pos is not None

@@ -9,6 +9,7 @@ from phyrec.model import potts_rate_matrix, transition_matrix, validate_gtr
 from phyrec.simulate import (
     _NODE_SITE_BUDGET,
     Alignment,
+    _broadcast_sites,
     exact_leaf_distribution,
     potts_batch_sample,
     read_alignment,
@@ -113,6 +114,17 @@ def test_samplers_match_exact_law():
     for draw in (lambda: sample_alignment(phy, model, k, rng).states,
                  lambda: potts_batch_sample(phy, 3, k, rng)[:, phy.first_leaf:]):
         assert chisq_pvalue(draw(), law) > 1e-3
+
+
+def test_potts_batch_sample_is_the_broadcast_kernel():
+    phy = random_homogeneous_phylogeny(4, 0.1, 0.9, np.random.default_rng(59))
+    for q in (2, 64):
+        got = potts_batch_sample(phy, q, 300, np.random.default_rng(60))
+        want = _broadcast_sites(phy, potts_rate_matrix(q), 300,
+                                np.random.default_rng(60)).T
+        assert got.shape == (300, phy.n_nodes)
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous   # each node's column is contiguous
 
 
 def test_broadcast_handles_gtr_models():
