@@ -1,7 +1,8 @@
 """Command-line entry point wiring the whole package.
 
-Subcommands: gen-tree, simulate, reconstruct, compare, asr-eval, sweep,
-probe.  Every randomised run takes a single --seed; when it is
+Subcommands: gen-tree, simulate, reconstruct, compare, sweep (topology
+success with ``--mode ptr``, root-estimator accuracy with ``--mode asr``)
+and probe.  Every randomised run takes a single --seed; when it is
 omitted one is drawn from entropy and printed to stderr so the run can
 be repeated.  Output files begin with '#' comment lines recording the
 package version, the full configuration and the seed.
@@ -165,18 +166,6 @@ def _cell(value):
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def cmd_asr_eval(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = SweepConfig(q_values=args.q_values, tau_values=args.tau_values,
-                      h_values=args.h_values, l_values=args.l_values,
-                      estimators=args.estimators, trials=args.trials,
-                      seed=seed, out=args.out,
-                      comments=tuple(_header_lines(args, seed)))
-    rows = asr_accuracy_sweep(cfg)
-    _print_rows(["estimator", "q", "tau", "h", "l", "trials", "accuracy", "stderr"], rows)
-    return EXIT_OK
-
-
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     cfg = SweepConfig(q_values=args.q_values, tau_values=args.tau_values,
@@ -309,17 +298,6 @@ def _build_parser():
             "topologies (exit 0 equal, 2 different)")
     p.add_argument("--tree1", required=True)
     p.add_argument("--tree2", required=True)
-
-    p = sub("asr-eval", cmd_asr_eval, help="root-estimator accuracy sweep")
-    p.add_argument("--q-values", type=_int_list, required=True)
-    p.add_argument("--tau-values", type=_float_list, required=True)
-    p.add_argument("--h-values", type=_int_list, required=True)
-    p.add_argument("--l-values", type=_int_list, default=(1,))
-    p.add_argument("--estimators", type=_str_list,
-                   default=("diluted", "majority", "posterior", "uniform"))
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="CSV output (resumable)")
 
     p = sub("sweep", cmd_sweep, help="success-rate or accuracy sweep over a grid")
     p.add_argument("--mode", choices=("ptr", "asr"), default="ptr")

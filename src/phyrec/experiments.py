@@ -1,9 +1,12 @@
 """Monte Carlo drivers: success and accuracy sweeps, the diluted
 estimator's error channel and dilution calibration, probes.
 
-Every symmetric-model Monte Carlo run draws its samples through one
-batch loop (``_potts_batches``), and both sweeps run through one
-resumable grid driver (``_sweep``).
+Every topology trial (success sweep, pipeline probe, minimal-k search)
+samples, reconstructs and compares in one place (``pipeline_trial``);
+every symmetric-model Monte Carlo run draws its samples through one
+batch loop (``_potts_batches``); and both sweeps run through one
+resumable grid driver (``_sweep``).  ``find_min_k`` scores each k as
+one success-sweep cell.
 
 Reproducibility contract: every cell of a sweep derives its generator
 from the master seed and the cell's grid coordinates through
@@ -77,6 +80,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for name in ("q_values", "tau_values", "h_values", "k_values", "l_values"):
             if not tuple(getattr(self, name)):
                 raise ValueError(f"{name} must be non-empty")
@@ -97,15 +102,17 @@ def _params_for(cfg: SweepConfig, tau: float, k: int, l: int,
 
 
 def pipeline_trial(phy: Phylogeny, model, k: int,
-                   params: ReconstructionParams, rng):
-    """One sample-then-reconstruct trial: a k-site alignment on ``phy``
-    and the topology rebuilt from it, or None when reconstruction fails.
-    Both steps draw from ``rng``, sampling first."""
+                   params: ReconstructionParams, rng) -> bool:
+    """One trial: sample a k-site alignment on ``phy``, rebuild the
+    topology from it and say whether it equals ``unroot(phy)``; a failed
+    reconstruction is a miss.  Both steps draw from ``rng``, sampling
+    first."""
     align = sample_alignment(phy, model, k, rng)
     try:
-        return reconstruct_homogeneous(align, model.q, params, rng)
+        result = reconstruct_homogeneous(align, model.q, params, rng)
     except ReconstructionError:
-        return None
+        return False
+    return topologies_equal(result, unroot(phy))
 
 
 def _ptr_cell(cfg: SweepConfig, index: int, q, tau, h, k, l, estimator) -> dict:
@@ -120,9 +127,7 @@ def _ptr_cell(cfg: SweepConfig, index: int, q, tau, h, k, l, estimator) -> dict:
             phy = random_homogeneous_phylogeny(h, f, g, rng)
         else:
             phy = homogeneous_phylogeny(h, tau)
-        result = pipeline_trial(phy, model, k, params, rng)
-        if result is not None:
-            successes += int(topologies_equal(result, unroot(phy)))
+        successes += pipeline_trial(phy, model, k, params, rng)
     rate = successes / cfg.trials
     return {"q": q, "tau": tau, "h": h, "n": 2 ** h, "k": k, "l": l,
             "estimator": estimator, "trials": cfg.trials,
@@ -192,16 +197,18 @@ def _sweep(cfg: SweepConfig, fields, cell, keys) -> list[dict]:
     axes named by ``keys``, skipping cells whose ``keys`` columns are
     already in ``cfg.out``; ``index`` is the cell's place in the full
     product, which seeds it.  Rows are appended to the file as they
-    arrive, from ``cfg.jobs`` worker processes when above one."""
+    arrive, from up to ``cfg.jobs`` worker processes, never more than
+    there are cells to run."""
     axes = {"q": cfg.q_values, "tau": cfg.tau_values, "h": cfg.h_values,
             "k": cfg.k_values, "l": cfg.l_values, "estimator": cfg.estimators}
     done = _load_done(cfg.out, fields, keys)
     todo = [(index, *values)
             for index, values in enumerate(product(*(axes[key] for key in keys)))
             if tuple(map(str, values)) not in done]
-    parallel = cfg.jobs > 1 and len(todo) > 1
+    workers = min(cfg.jobs, len(todo))
+    parallel = workers > 1
     rows = []
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         for row in mapper(cell, [cfg] * len(todo), *zip(*todo)):
             rows.append(row)
@@ -330,38 +337,36 @@ class ProbeResult:
     tv: float | None = None   # exact method only
 
 
-def _competing_pair(q: int, tau: float, depth: int, relabel=None):
+def _competing_pair(q: int, tau: float, depth: int):
     """The two candidate phylogenies: identity labels versus the deep
     quartet swap (second and third quarter blocks exchanged)."""
     if depth < 2:
         raise ValueError("the probe needs depth >= 2")
     n = 2 ** depth
     phy1 = homogeneous_phylogeny(depth, tau)
-    if relabel is None:
-        labels = np.arange(1, n + 1)
-        quarter = n // 4
-        block_b = labels[quarter:2 * quarter].copy()
-        labels[quarter:2 * quarter] = labels[2 * quarter:3 * quarter]
-        labels[2 * quarter:3 * quarter] = block_b
-    else:
-        labels = np.asarray(relabel)
+    labels = np.arange(1, n + 1)
+    quarter = n // 4
+    block_b = labels[quarter:2 * quarter].copy()
+    labels[quarter:2 * quarter] = labels[2 * quarter:3 * quarter]
+    labels[2 * quarter:3 * quarter] = block_b
     phy2 = Phylogeny(depth, phy1.edge_tau.copy(), labels)
     return phy1, phy2
 
 
 def distinguishability_probe(q: int, tau: float, depth: int, k: int,
                              trials: int, rng, method: str = "exact",
-                             params: ReconstructionParams | None = None,
-                             relabel=None) -> ProbeResult:
+                             params: ReconstructionParams | None = None
+                             ) -> ProbeResult:
     """How well can data of length k tell two topologies apart?
 
     The competing topologies differ by a quartet swap at the root.  The
     exact method computes the total-variation distance between the two
     leaf laws and scores the exact likelihood-ratio test on simulated
-    k-site data; the pipeline method scores full reconstruction runs
-    (the output must match the generating topology and not the rival).
+    k-site data; the pipeline method scores full reconstruction runs,
+    which must rebuild the generating topology (the rival always
+    differs from it).
     """
-    phy1, phy2 = _competing_pair(q, tau, depth, relabel)
+    phy1, phy2 = _competing_pair(q, tau, depth)
     model = potts_rate_matrix(q)
     if method == "exact":
         p1 = exact_leaf_distribution(phy1, model)
@@ -384,17 +389,10 @@ def distinguishability_probe(q: int, tau: float, depth: int, k: int,
     if method == "pipeline":
         if params is None:
             raise ValueError("the pipeline method needs ReconstructionParams")
-        top1, top2 = unroot(phy1), unroot(phy2)
         hits = 0
         for _ in range(trials):
             z = int(rng.integers(2))
-            result = pipeline_trial(phy2 if z else phy1, model, k, params, rng)
-            if result is None:
-                continue
-            match1 = topologies_equal(result, top1)
-            match2 = topologies_equal(result, top2)
-            if match1 != match2:
-                hits += int(int(match2) == z)
+            hits += pipeline_trial(phy2 if z else phy1, model, k, params, rng)
         return ProbeResult("pipeline", depth, k, trials, hits / trials)
     raise ValueError(f"unknown method {method!r}")
 
@@ -406,28 +404,25 @@ class MinKResult:
     censored: bool
 
 
-def find_min_k(q: int, tau: float, h: int, target_rate: float, rng,
+def find_min_k(q: int, tau: float, h: int, target_rate: float, seed: int,
                trials: int = 25, k_cap: int = 10 ** 6, l: int = 1,
                estimator: str = "majority", D: float | None = None,
                W: float = 5.5, f_min: float | None = None) -> MinKResult:
     """Smallest k (doubling then bisection) whose empirical success rate
-    reaches ``target_rate``; censored when k_cap is passed."""
-    model = potts_rate_matrix(q)
-    phy = homogeneous_phylogeny(h, tau)
-    truth = unroot(phy)
+    reaches ``target_rate``; censored when k_cap is passed.  Each k is
+    scored as the sweep cell of index k, with the sweep's fitted
+    parameters and streams ``cell_rng(seed, k, trial)``."""
+    if not 0 < target_rate <= 1:
+        raise ValueError(f"target_rate must be in (0, 1], got {target_rate}")
+    if k_cap < 1:
+        raise ValueError(f"k_cap must be >= 1, got {k_cap}")
+    cfg = SweepConfig(q_values=(q,), tau_values=(tau,), h_values=(h,),
+                      l_values=(l,), estimators=(estimator,), trials=trials,
+                      seed=seed, D=D, W=W, f_min=f_min)
     curve = []
 
     def rate(k: int) -> float:
-        params = auto_reconstruction_params(max(tau, 1e-6), k, l=l, W=W,
-                                            estimator=estimator, f_min=f_min, D=D)
-        wins = 0
-        for trial in range(trials):
-            sub = np.random.default_rng(
-                np.random.SeedSequence(int(rng.integers(2 ** 63)), spawn_key=(k, trial)))
-            result = pipeline_trial(phy, model, k, params, sub)
-            if result is not None:
-                wins += int(topologies_equal(result, truth))
-        value = wins / trials
+        value = _ptr_cell(cfg, k, q, tau, h, k, l, estimator)["rate"]
         curve.append((k, value))
         return value
 

@@ -106,25 +106,19 @@ def potts_batch_sample(phy: Phylogeny, q: int, n_samples: int, rng) -> np.ndarra
     return _broadcast_sites(phy, potts_rate_matrix(q), n_samples, rng).T
 
 
-def sample_alignment(phy: Phylogeny, model: RateModel, k: int, rng,
-                     keep_internal: bool = False):
+def sample_alignment(phy: Phylogeny, model: RateModel, k: int, rng) -> Alignment:
     """Sample k i.i.d. sites and return the leaf alignment.
 
     The root state is drawn from pi, then each child through the
     transition matrix of its edge.  Leaf columns are ordered by label
-    1..n.  With ``keep_internal`` the full node-indexed state matrix
-    (k, n_nodes) is returned alongside as hidden truth; it is never
-    consumed by reconstruction code.
+    1..n.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     nodes = _broadcast_sites(phy, model, k, rng)
     order = np.argsort(phy.leaf_labels)  # column j <-> label j+1
     leaf_states = nodes[phy.first_leaf:][order].T
-    align = Alignment(list(range(1, phy.n_leaves + 1)), leaf_states, model.q)
-    if keep_internal:
-        return align, nodes.T
-    return align
+    return Alignment(list(range(1, phy.n_leaves + 1)), leaf_states, model.q)
 
 
 def exact_leaf_distribution(phy: Phylogeny, model: RateModel) -> np.ndarray:

@@ -242,15 +242,10 @@ def test_04_noiseless_reconstruction_is_perfect():
 
 def _pipeline_success_rate(tau, rng, trials=50):
     phy = homogeneous_phylogeny(7, tau)
-    truth = unroot(phy)
     model = potts_rate_matrix(2)
     params = auto_reconstruction_params(tau, 4000, estimator="majority")
-    wins = 0
-    for _ in range(trials):
-        result = pipeline_trial(phy, model, 4000, params, rng)
-        if result is not None:
-            wins += int(topologies_equal(result, truth))
-    return wins
+    return sum(pipeline_trial(phy, model, 4000, params, rng)
+               for _ in range(trials))
 
 
 def test_05_subcritical_reconstruction_succeeds():

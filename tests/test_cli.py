@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,10 @@ def test_usage_errors_exit_one(capsys):
     assert main(["gen-tree", "--h", "2"]) == EXIT_USAGE  # no lengths given
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["verify"]) == EXIT_USAGE              # retired subcommand
+    for jobs in ("0", "-2"):
+        assert main(["sweep", "--q-values", "2", "--tau-values", "0.3",
+                     "--h-values", "2", "--jobs", jobs]) == EXIT_USAGE
+        assert "jobs must be >= 1" in capsys.readouterr().err
     assert main(["--version"]) == EXIT_OK
     capsys.readouterr()
 
@@ -199,14 +204,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_asr_eval_smoke(tmp_path, capsys):
+def test_sweep_asr_smoke(tmp_path, capsys):
     out = tmp_path / "asr.csv"
-    assert main(["asr-eval", "--q-values", "2", "--tau-values", "0.4",
+    assert main(["sweep", "--mode", "asr", "--q-values", "2", "--tau-values", "0.4",
                  "--h-values", "2", "--estimators", "majority,uniform",
                  "--trials", "200", "--seed", "8", "--out", str(out)]) == EXIT_OK
     printed = capsys.readouterr().out
     assert printed.splitlines()[0].startswith("estimator\tq\ttau")
     assert out.exists() and "majority" in out.read_text()
+    assert main(["asr-eval", "--q-values", "2", "--tau-values", "0.4",
+                 "--h-values", "2"]) == EXIT_USAGE   # retired subcommand
+    capsys.readouterr()
 
 
 def test_sweep_smoke_resumes_and_writes_plot_script(tmp_path, capsys):
@@ -249,5 +257,12 @@ def test_readme_advertises_exactly_the_registered_subcommands():
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
     advertised = {m for block in blocks
                   for m in re.findall(r"^\s*phyrec ([a-z][a-z-]*)", block, re.M)}
-    _, registry = _build_parser()
+    parser, registry = _build_parser()
     assert advertised == set(registry)
+    # every advertised command line parses (continuations joined), unrun
+    lines = [shlex.split(line, comments=True)
+             for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.strip().startswith("phyrec ")]
+    assert len(lines) >= len(registry)
+    for argv in lines:
+        parser.parse_args(argv[1:])

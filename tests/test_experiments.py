@@ -3,20 +3,24 @@ import csv
 import numpy as np
 import pytest
 
+from phyrec import experiments
 from phyrec.experiments import (
     ASR_FIELDS,
     PTR_FIELDS,
     MinKResult,
     SweepConfig,
     _competing_pair,
+    _ptr_cell,
     asr_accuracy_sweep,
     asr_outcomes,
     bootstrap_decreasing_probability,
     cell_rng,
     distinguishability_probe,
     find_min_k,
+    pipeline_trial,
     ptr_success_sweep,
 )
+from phyrec.model import potts_rate_matrix
 
 
 def read_rows(path):
@@ -45,6 +49,9 @@ def test_sweep_config_validation():
         SweepConfig(q_values=(2,), tau_values=(0.3,), h_values=(0,))
     with pytest.raises(ValueError):
         SweepConfig(q_values=(2,), tau_values=(0.3,), h_values=(2,), k_values=(0,))
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            SweepConfig(q_values=(2,), tau_values=(0.3,), h_values=(2,), jobs=jobs)
 
 
 def test_ptr_sweep_writes_and_resumes(tmp_path):
@@ -120,6 +127,32 @@ def test_parallel_sweep_matches_serial(tmp_path, sweep):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("cells,jobs,want", [(2, 6, 2), (3, 2, 2), (1, 4, None)])
+def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch, cells, jobs, want):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    cfg = SweepConfig(q_values=(2,), tau_values=(0.2, 0.3, 0.4)[:cells],
+                      h_values=(2,), estimators=("majority",), trials=2,
+                      seed=30, jobs=jobs)
+    rows = asr_accuracy_sweep(cfg)
+    assert len(rows) == cells
+    assert started == ([] if want is None else [want])
+
+
 def test_bootstrap_trend_probability():
     rng = np.random.default_rng(21)
     down = [np.repeat([1, 0], [80, 20]), np.repeat([1, 0], [50, 50]),
@@ -135,10 +168,22 @@ def test_competing_pair_swaps_the_deep_quartet():
     assert phy1.leaf_labels.tolist() == [1, 2, 3, 4]
     assert phy2.leaf_labels.tolist() == [1, 3, 2, 4]
     assert np.array_equal(phy1.edge_tau, phy2.edge_tau)
-    custom = _competing_pair(2, 0.3, 2, relabel=[4, 3, 2, 1])[1]
-    assert custom.leaf_labels.tolist() == [4, 3, 2, 1]
     with pytest.raises(ValueError):
         _competing_pair(2, 0.3, 1)
+
+
+def test_pipeline_trial_scores_against_the_true_topology(monkeypatch):
+    from phyrec.reconstruct import auto_reconstruction_params
+    from phyrec.tree import homogeneous_phylogeny, unroot
+    phy, model = homogeneous_phylogeny(3, 0.25), potts_rate_matrix(2)
+    params = auto_reconstruction_params(0.25, 800, estimator="majority")
+    assert pipeline_trial(phy, model, 800, params, np.random.default_rng(1)) is True
+    # one site leaves every vertex unforced: the ReconstructionError is a miss
+    assert pipeline_trial(phy, model, 1, params, np.random.default_rng(1)) is False
+    rival = unroot(_competing_pair(2, 0.25, 3)[1])
+    monkeypatch.setattr(experiments, "reconstruct_homogeneous",
+                        lambda *args: rival)
+    assert pipeline_trial(phy, model, 800, params, np.random.default_rng(1)) is False
 
 
 def test_distinguishability_probe_exact():
@@ -173,18 +218,30 @@ def test_distinguishability_probe_pipeline():
 
 
 def test_find_min_k_bisects():
-    result = find_min_k(2, 0.3, 2, 0.6, np.random.default_rng(27), trials=8)
+    result = find_min_k(2, 0.3, 2, 0.6, 27, trials=8)
     assert isinstance(result, MinKResult)
     assert not result.censored
     assert result.k is not None and result.k >= 1
     ks = [k for k, _ in result.curve]
     assert result.k in ks
     assert any(k == result.k and rate >= 0.6 for k, rate in result.curve)
+    # each k is the sweep cell of index k: fitted params, cell_rng(27, k, trial)
+    for k, rate in result.curve:
+        cfg = SweepConfig(q_values=(2,), tau_values=(0.3,), h_values=(2,),
+                          k_values=(k,), estimators=("majority",), trials=8,
+                          seed=27)
+        assert _ptr_cell(cfg, k, 2, 0.3, 2, k, 1, "majority")["rate"] == rate
 
 
 def test_find_min_k_censors_at_the_cap():
-    result = find_min_k(2, 0.6, 3, 0.99, np.random.default_rng(28),
-                        trials=4, k_cap=4)
+    result = find_min_k(2, 0.6, 3, 0.99, 28, trials=4, k_cap=4)
     assert result.censored
     assert result.k is None
     assert [k for k, _ in result.curve] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("target_rate,k_cap", [(0, 64), (-0.1, 64), (1.5, 64),
+                                               (float("nan"), 64), (0.5, 0)])
+def test_find_min_k_refuses_meaningless_targets(target_rate, k_cap):
+    with pytest.raises(ValueError):
+        find_min_k(2, 0.3, 2, target_rate, 1, trials=1, k_cap=k_cap)

@@ -181,7 +181,7 @@ def test_grouped_sampler_matches_count_below(model, h, k):
     tau[1::3] = 0.0
     phy = Phylogeny(h, tau, phy.leaf_labels.copy())
     draws = np.random.default_rng(7)
-    _, full = sample_alignment(phy, model, k, draws, keep_internal=True)
+    full = _broadcast_sites(phy, model, k, draws).T
     oracle = np.random.default_rng(7)
     want = count_below_sample(phy, model, k, oracle)
     assert np.array_equal(full, want)
@@ -210,18 +210,17 @@ def test_degenerate_edges_copy_states():
     # tau = 0 everywhere: every node inherits the root state
     phy = homogeneous_phylogeny(3, 0.0)
     rng = np.random.default_rng(57)
-    _, full = sample_alignment(phy, potts_rate_matrix(4), 20, rng,
-                               keep_internal=True)
+    full = _broadcast_sites(phy, potts_rate_matrix(4), 20, rng).T
     for draw in (full, potts_batch_sample(phy, 4, 20, rng)):
         assert draw.shape == (20, phy.n_nodes)
         assert np.all(draw == draw[:, :1])
 
 
 def test_leaf_columns_follow_labels():
-    rng = np.random.default_rng(58)
-    phy = random_homogeneous_phylogeny(3, 0.2, 0.6, rng)
-    align, full = sample_alignment(phy, potts_rate_matrix(4), 50, rng,
-                                   keep_internal=True)
+    phy = random_homogeneous_phylogeny(3, 0.2, 0.6, np.random.default_rng(58))
+    model = potts_rate_matrix(4)
+    align = sample_alignment(phy, model, 50, np.random.default_rng(59))
+    full = _broadcast_sites(phy, model, 50, np.random.default_rng(59)).T
     assert align.node_ids == list(range(1, 9))
     assert full.shape == (50, phy.n_nodes)
     for lab in range(1, 9):
