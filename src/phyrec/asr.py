@@ -16,6 +16,13 @@ what makes reconstructed sequences usable as distance-estimation input.
 When the number of levels is not a multiple of l, the tree is padded
 with zero-length edges and the leaf states are copied downward; the
 padding is applied arithmetically rather than by materialising copies.
+
+Candidate sets are bitmasks: one unsigned word per (row, vertex), the
+narrowest of uint8..uint64 that holds q bits, or ceil(q/64) uint64
+words above q = 64, with bit s meaning "state s qualifies".  A leaf
+contributes 1 << state, and "at least two of the 2^l children" is a
+carry-save count over the children's words (``twos |= ones & c;
+ones |= c``), so one word operation covers every state at once.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from .model import RateModel, delta_from_tau, transition_matrix
 from .tree import Phylogeny
 
-_BOOL_BUDGET = 1 << 25   # chunk one-hot work below ~32 MB
+_BOOL_BUDGET = 1 << 25   # q * n leaf-state pairs per chunk; sets the RNG batch sizes
 
 
 def _levels_of(n_leaves: int) -> int:
@@ -37,12 +44,87 @@ def _levels_of(n_leaves: int) -> int:
     return h
 
 
+def _check_states(leaf_batch: np.ndarray, q: int):
+    if leaf_batch.size and (leaf_batch.min() < 0 or leaf_batch.max() >= q):
+        raise ValueError(f"leaf states must lie in 0..{q - 1}")
+
+
+def _word_dtype(q: int) -> np.dtype:
+    """Smallest unsigned word holding q bits; uint64 (several words a
+    set) above q = 64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if q <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
+def _candidate_masks(batch: np.ndarray, q: int, l: int) -> np.ndarray:
+    """Candidate sets of (B, n) leaf states in 0..q-1 as (B, W) words:
+    bit s of word s // bits is set iff state s is a candidate.
+
+    Vertices are node-major with rows innermost, (vertices, B, W), so
+    each child taken below is a contiguous slab of B rows.  A leaf's
+    mask is 1 << state (an oversized or wrapped shift gives 0 in the
+    other words).  A vertex keeps a state iff at least two of its 2^l
+    children do, counted by carry-save: ``ones`` holds the states seen
+    in one child so far, ``twos`` those seen in two.
+    """
+    if l < 1:
+        raise ValueError(f"dilution parameter must be >= 1, got {l}")
+    n_rows, n = batch.shape
+    h = _levels_of(n)
+    dtype = _word_dtype(q)
+    bits = 8 * dtype.itemsize
+    n_words = -(-q // bits)
+    masks = np.empty((n, n_rows, n_words), dtype=dtype)
+    for w in range(n_words):
+        shift = batch.T if w == 0 else np.subtract(
+            batch.T, w * bits, dtype=np.int64, casting="unsafe")
+        np.left_shift(1, shift, out=masks[:, :, w], dtype=dtype, casting="unsafe")
+    if h > 0:
+        big = l * math.ceil(h / l)
+        steps = big // l
+        if big > h:
+            # Bottom diluted layer sits below the real leaves: each real
+            # leaf stands for 2^(big - h) >= 2 identical virtual
+            # descendants, so a vertex at level big-l qualifies iff one
+            # leaf of its real-leaf block matches.
+            block = 2 ** (h - (big - l))
+            group = masks.reshape(n // block, block, n_rows, n_words)
+            masks = group[:, 0] | group[:, 1]
+            for j in range(2, block):
+                masks |= group[:, j]
+            steps -= 1
+        fan = 2 ** l
+        for _ in range(steps):
+            group = masks.reshape(len(masks) // fan, fan, n_rows, n_words)
+            twos = group[:, 0] & group[:, 1]
+            if fan > 2:
+                ones = group[:, 0] | group[:, 1]
+                for j in range(2, fan):
+                    twos |= ones & group[:, j]
+                    if j < fan - 1:
+                        ones |= group[:, j]
+            masks = twos
+    return masks[0]
+
+
+def _has_state(masks: np.ndarray, rows, states) -> np.ndarray:
+    """Whether bit ``states`` is set in row ``rows`` of (B, W) masks;
+    ``rows`` and ``states`` broadcast as in fancy indexing."""
+    bits = 8 * masks.itemsize
+    bit = np.left_shift(1, states & (bits - 1), dtype=masks.dtype, casting="unsafe")
+    words = masks.reshape(-1)[rows * masks.shape[1] + (states >> (bits.bit_length() - 1))]
+    return words & bit != 0
+
+
 def diluted_state_sets(leaf_states: np.ndarray, q: int, l: int) -> np.ndarray:
     """Candidate-state indicators for one or many leaf vectors.
 
     Parameters
     ----------
-    leaf_states : (n,) or (batch, n) int array, left-to-right leaf order
+    leaf_states : (n,) or (batch, n) int array in 0..q-1, left-to-right
+        leaf order
     q, l : alphabet size and dilution parameter (l >= 1)
 
     Returns
@@ -50,68 +132,47 @@ def diluted_state_sets(leaf_states: np.ndarray, q: int, l: int) -> np.ndarray:
     bool array of shape (q,) or (batch, q); entry i says whether an
     l-diluted monochromatic-i subtree exists.
     """
-    if l < 1:
-        raise ValueError(f"dilution parameter must be >= 1, got {l}")
     leaf_states = np.asarray(leaf_states)
     single = leaf_states.ndim == 1
     batch = leaf_states[None, :] if single else leaf_states
-    h = _levels_of(batch.shape[1])
-
-    # one-hot (B, q, n): leaf qualifies for state i iff it carries i.
-    # Rows innermost, so each count/any reduction below adds whole slabs
-    # of B rows instead of runs of 2^l bytes.
-    qual = np.asfortranarray(batch)[:, None, :] == np.arange(q)[None, :, None]
-    if h > 0:
-        big = l * math.ceil(h / l)
-        pad = big - h
-        if pad:
-            # Bottom diluted layer sits below the real leaves: each real
-            # leaf stands for 2^pad >= 2 identical virtual descendants, so
-            # a vertex at level big-l qualifies iff one leaf of its
-            # real-leaf block matches.
-            block = 2 ** (h - (big - l))
-            qual = qual.reshape(*qual.shape[:2], -1, block).any(axis=-1)
-            steps = big // l - 1
-        else:
-            steps = big // l
-        for _ in range(steps):
-            qual = np.count_nonzero(
-                qual.reshape(*qual.shape[:2], -1, 2 ** l), axis=-1) >= 2
-    result = qual[..., 0]
-    return result[0] if single else result
+    _check_states(batch, q)
+    masks = _candidate_masks(batch, q, l)
+    sets = _has_state(masks, np.arange(len(masks))[:, None], np.arange(q))
+    return sets[0] if single else sets
 
 
 def _rows_per_chunk(q: int, n: int) -> int:
-    """Rows of n leaves whose (rows, q, n) one-hot work fits the budget."""
+    """Rows of n leaves whose q * n leaf-state pairs fit the budget."""
     return max(1, _BOOL_BUDGET // max(1, q * n))
 
 
-def _diluted_guesses(sets: np.ndarray, rng) -> np.ndarray:
-    """Guess-and-keep draw per row of (B, q) candidate indicators: a
-    uniform state, kept when it is a candidate, otherwise replaced by a
-    uniform draw from the other q-1 states."""
-    n_rows, q = sets.shape
+def _diluted_guesses(masks: np.ndarray, q: int, rng) -> np.ndarray:
+    """Guess-and-keep draw per row of (B, W) candidate masks: a uniform
+    state, kept when it is a candidate, otherwise replaced by a uniform
+    draw from the other q-1 states."""
+    n_rows = len(masks)
     x = rng.integers(q, size=n_rows)
     y = rng.integers(q - 1, size=n_rows)
-    return np.where(sets[np.arange(n_rows), x], x, y + (y >= x))
+    return np.where(_has_state(masks, np.arange(n_rows), x), x, y + (y >= x))
 
 
 def diluted_estimates(leaf_batch: np.ndarray, q: int, l: int, rng) -> np.ndarray:
     """Guess-and-keep diluted root estimate per row of (B, n) leaf states."""
+    leaf_batch = np.asarray(leaf_batch)
+    _check_states(leaf_batch, q)
     n_rows, n = leaf_batch.shape
     chunk = _rows_per_chunk(q, n)
     out = np.empty(n_rows, dtype=np.int32)
     for start in range(0, n_rows, chunk):
-        sets = diluted_state_sets(leaf_batch[start:start + chunk], q, l)
-        out[start:start + chunk] = _diluted_guesses(sets, rng)
+        masks = _candidate_masks(leaf_batch[start:start + chunk], q, l)
+        out[start:start + chunk] = _diluted_guesses(masks, q, rng)
     return out
 
 
 def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
     """Plurality vote per row of (B, n) leaf states, ties broken uniformly."""
     n_rows = leaf_batch.shape[0]
-    if leaf_batch.size and (leaf_batch.min() < 0 or leaf_batch.max() >= q):
-        raise ValueError(f"leaf states must lie in 0..{q - 1}")
+    _check_states(leaf_batch, q)
     codes = np.arange(n_rows)[:, None] * q + leaf_batch
     counts = np.bincount(codes.reshape(-1), minlength=n_rows * q)
     counts = counts.reshape(n_rows, q).astype(np.float64)

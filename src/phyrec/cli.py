@@ -166,15 +166,30 @@ def _cell(value):
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
+_PTR_ONLY_FLAGS = (("--k-values", "k_values"), ("--D", "D"), ("--W", "W"),
+                   ("--f-min", "f_min"), ("--random-lengths", "random_lengths"))
+
+
 def cmd_sweep(args) -> int:
+    if args.mode == "asr":
+        given = [flag for flag, dest in _PTR_ONLY_FLAGS
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"sweep --mode asr does not take {', '.join(given)}")
+        grid = {}
+    else:
+        if args.k_values is None:
+            args.k_values = (1000,)
+        if args.W is None:
+            args.W = 5.5
+        grid = {"k_values": args.k_values, "W": args.W}
     seed = _resolve_seed(args)
     cfg = SweepConfig(q_values=args.q_values, tau_values=args.tau_values,
-                      h_values=args.h_values, k_values=args.k_values,
-                      l_values=args.l_values, estimators=args.estimators,
-                      trials=args.trials, seed=seed, out=args.out,
-                      jobs=args.jobs, D=args.D, W=args.W, f_min=args.f_min,
-                      length_range=args.random_lengths,
-                      comments=tuple(_header_lines(args, seed)))
+                      h_values=args.h_values, l_values=args.l_values,
+                      estimators=args.estimators, trials=args.trials,
+                      seed=seed, out=args.out, jobs=args.jobs, D=args.D,
+                      f_min=args.f_min, length_range=args.random_lengths,
+                      comments=tuple(_header_lines(args, seed)), **grid)
     if args.mode == "ptr":
         rows = ptr_success_sweep(cfg)
         _print_rows(["q", "tau", "h", "k", "l", "estimator", "trials",
@@ -304,15 +319,16 @@ def _build_parser():
     p.add_argument("--q-values", type=_int_list, required=True)
     p.add_argument("--tau-values", type=_float_list, required=True)
     p.add_argument("--h-values", type=_int_list, required=True)
-    p.add_argument("--k-values", type=_int_list, default=(1000,))
+    p.add_argument("--k-values", type=_int_list,
+                   help="sequence lengths, ptr mode only (default 1000)")
     p.add_argument("--l-values", type=_int_list, default=(1,))
     p.add_argument("--estimators", type=_str_list, default=("diluted",))
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--D", type=float)
-    p.add_argument("--W", type=float, default=5.5)
-    p.add_argument("--f-min", type=float)
+    p.add_argument("--D", type=float, help="ptr mode only")
+    p.add_argument("--W", type=float, help="ptr mode only (default 5.5)")
+    p.add_argument("--f-min", type=float, help="ptr mode only")
     p.add_argument("--random-lengths", type=_float_list,
-                   help="f,g: draw each edge uniform on [f, g]")
+                   help="f,g: draw each edge uniform on [f, g]; ptr mode only")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes for sweep cells")
     p.add_argument("--seed", type=int)

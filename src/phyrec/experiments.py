@@ -29,8 +29,9 @@ from itertools import product
 
 import numpy as np
 
-from .asr import (_diluted_guesses, _posterior_batch, _rows_per_chunk,
-                  diluted_estimates, diluted_state_sets, majority_estimates)
+from .asr import (_candidate_masks, _diluted_guesses, _has_state,
+                  _posterior_batch, _rows_per_chunk, diluted_estimates,
+                  majority_estimates)
 from .errors import CalibrationError, ReconstructionError
 from .model import G_PERC, potts_rate_matrix
 from .reconstruct import (ReconstructionParams, auto_reconstruction_params,
@@ -248,9 +249,10 @@ def estimate_error_channel(phy: Phylogeny, q: int, l: int, trials: int, rng,
     eps_count = 0
     batch = max(1, min(batch_size, _rows_per_chunk(q, phy.n_leaves)))
     for roots, leaves in _potts_batches(phy, q, trials, batch, rng):
-        sets = diluted_state_sets(leaves, q, l)
-        np.add.at(counts, (roots, _diluted_guesses(sets, rng)), 1)
-        eps_count += int(sets[np.arange(len(roots)), roots].sum())
+        masks = _candidate_masks(leaves, q, l)
+        np.add.at(counts, (roots, _diluted_guesses(masks, q, rng)), 1)
+        eps_count += int(np.count_nonzero(
+            _has_state(masks, np.arange(len(roots)), roots)))
     row_tot = counts.sum(axis=1, keepdims=True)
     matrix = counts / np.maximum(row_tot, 1)
     diag = float(np.mean(np.diag(matrix)))
@@ -295,10 +297,11 @@ def calibrate_dilution(q: int, g: float, h_max: int, rng,
         hits = 0
         false_hits = 0
         for roots, leaves in _potts_batches(phy, q, trials, batch, rng):
-            sets = diluted_state_sets(leaves, q, l)
-            true_hits = int(sets[np.arange(len(roots)), roots].sum())
+            masks = _candidate_masks(leaves, q, l)
+            true_hits = int(np.count_nonzero(
+                _has_state(masks, np.arange(len(roots)), roots)))
             hits += true_hits
-            false_hits += int(sets.sum()) - true_hits
+            false_hits += int(np.bitwise_count(masks).sum()) - true_hits
         eps_hat = hits / trials
         fp_hat = false_hits / (trials * (q - 1))
         table.append((l, eps_hat, fp_hat))

@@ -3,7 +3,7 @@
 Distances between sequences are estimated by inverting the symmetric
 channel: tau_hat = -ln(1 - q/(q-1) * mismatch fraction), saturating to
 +inf when the argument of the log is not positive.  The agreement
-counts behind it are exact integers: one-hot float32 matmuls for q <= 8,
+counts behind it are exact integers: one-hot float32 matmuls for q <= 4,
 XOR-and-popcount over ceil(log2 q) packed bit planes above, where each
 row pair costs k/64 words per plane instead of k byte compares.  Between
 reconstructed sequences the estimate concentrates around the weighted
@@ -60,10 +60,10 @@ def pairwise_distance_matrix(seqs: np.ndarray, q: int) -> np.ndarray:
     m, k = seqs.shape
     if k == 0:
         raise ValueError("cannot estimate distances from empty sequences")
-    if q <= 8 and k >= 1 << 24:
+    if q <= 4 and k >= 1 << 24:
         # float32 agreement counts are exact integers only below 2^24
-        raise ValueError(f"k = {k} sites must stay below 2^24 for q <= 8")
-    if q <= 8:
+        raise ValueError(f"k = {k} sites must stay below 2^24 for q <= 4")
+    if q <= 4:
         agree = np.zeros((m, m), dtype=np.float32)
         for state in range(q):
             hot = (seqs == state).astype(np.float32)

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phyrec.asr import (
+    _candidate_masks,
     _posterior_batch,
     diluted_estimates,
     diluted_state_sets,
@@ -45,6 +47,110 @@ def oracle_candidates(leaves, q, l):
     return [exists(0, len(virt), 0, i) for i in range(q)]
 
 
+def one_hot_state_sets(leaf_states, q, l):
+    """Reference candidate sets from a (B, q, n) one-hot: a vertex keeps
+    state i iff at least two of its 2^l children do, counted per state."""
+    batch = np.atleast_2d(leaf_states)
+    h = batch.shape[1].bit_length() - 1
+    qual = np.asfortranarray(batch)[:, None, :] == np.arange(q)[None, :, None]
+    if h > 0:
+        big = l * math.ceil(h / l)
+        steps = big // l
+        if big > h:
+            block = 2 ** (h - (big - l))
+            qual = qual.reshape(*qual.shape[:2], -1, block).any(axis=-1)
+            steps -= 1
+        for _ in range(steps):
+            qual = np.count_nonzero(
+                qual.reshape(*qual.shape[:2], -1, 2 ** l), axis=-1) >= 2
+    return qual[..., 0]
+
+
+def one_hot_estimates(leaf_batch, q, l, rng):
+    """Reference guess-and-keep draw over one-hot candidate sets, chunked
+    by the same 2^25 leaf-state pair budget."""
+    n_rows, n = leaf_batch.shape
+    chunk = max(1, (1 << 25) // (q * n))
+    out = np.empty(n_rows, dtype=np.int32)
+    for start in range(0, n_rows, chunk):
+        sets = one_hot_state_sets(leaf_batch[start:start + chunk], q, l)
+        x = rng.integers(q, size=len(sets))
+        y = rng.integers(q - 1, size=len(sets))
+        out[start:start + chunk] = np.where(sets[np.arange(len(sets)), x],
+                                            x, y + (y >= x))
+    return out
+
+
+def structured_leaves(q, n_rows, n, rng):
+    """Rows that give non-trivial candidate sets at any q: monochromatic,
+    two-state mixtures drawn from a random pair or from {0, 63, 64, q-1}
+    (word boundaries), and uniform states."""
+    edges = np.array([s for s in (0, 63, 64, q - 1) if s < q])
+    rows = []
+    for i in range(n_rows):
+        kind = i % 4
+        if kind == 0:
+            row = np.full(n, rng.integers(q))
+        elif kind == 1:
+            row = rng.choice(rng.integers(q, size=2), size=n)
+        elif kind == 2:
+            row = rng.choice(rng.choice(edges, size=2), size=n)
+        else:
+            row = rng.integers(q, size=n)
+        rows.append(row)
+    return np.array(rows, dtype=np.int32)
+
+
+@pytest.mark.parametrize("q", [2, 3, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+def test_diluted_state_sets_match_one_hot_oracle(q):
+    rng = np.random.default_rng(78 + q)
+    for h in range(9):
+        batch = structured_leaves(q, 24, 2 ** h, rng)
+        for l in range(1, 5):
+            want = one_hot_state_sets(batch, q, l)
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                got = diluted_state_sets(layout(batch), q, l)
+                assert got.dtype == bool and got.shape == (24, q)
+                assert np.array_equal(got, want), (h, l, layout.__name__)
+            if h <= 4:       # the recursive oracle, on a few rows per case
+                for row, pattern in zip(want[:4], batch[:4]):
+                    assert row.tolist() == oracle_candidates(pattern, q, l)
+        assert want.any()
+
+
+@pytest.mark.parametrize("q", [2, 4, 64, 65, 130])
+def test_candidate_masks_use_the_narrowest_word(q):
+    masks = _candidate_masks(np.full((3, 4), q - 1), q, 1)
+    width = {2: 1, 4: 1, 64: 8, 65: 8, 130: 8}[q]
+    assert masks.itemsize == width
+    assert masks.shape == (3, -(-q // (8 * width)))
+    assert np.bitwise_count(masks).sum() == 3
+
+
+@pytest.mark.parametrize("q,n_rows,n,l", [(2, 500, 2, 3), (4, 300, 8, 1),
+                                          (64, 4000, 8, 3), (65, 200, 16, 2),
+                                          (64, 2500, 512, 3), (130, 2100, 256, 4)])
+def test_diluted_estimates_match_one_hot_draws(q, n_rows, n, l):
+    # the last two rows take three chunks each
+    batch = structured_leaves(q, n_rows, n, np.random.default_rng(q + n))
+    rng, ref_rng = np.random.default_rng(79), np.random.default_rng(79)
+    got = diluted_estimates(batch, q, l, rng)
+    assert np.array_equal(got, one_hot_estimates(batch, q, l, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_diluted_estimates_memory_stays_below_one_hot():
+    # a one-hot of these leaves would be 4000 * 64 * 32 bools = 8.2 MB
+    batch = np.random.default_rng(80).integers(64, size=(4000, 32)).astype(np.int32)
+    tracemalloc.start()
+    try:
+        diluted_estimates(batch, 64, 3, np.random.default_rng(81))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+
+
 @pytest.mark.parametrize("q,h,l", [(2, 3, 2), (3, 2, 1), (2, 2, 2), (2, 1, 2)])
 def test_diluted_state_sets_exhaustive(q, h, l):
     n = 2 ** h
@@ -83,11 +189,25 @@ def test_diluted_state_sets_ignore_memory_layout(q, h, l):
     assert 0 < c_sets.sum() < c_sets.size
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64, np.uint64])
+def test_diluted_state_sets_ignore_integer_dtype(dtype):
+    # q=130 spans three words; unsigned inputs below a word's first state
+    # must not wrap into it
+    batch = structured_leaves(130, 40, 16, np.random.default_rng(83))
+    want = one_hot_state_sets(batch, 130, 2)
+    assert np.array_equal(diluted_state_sets(batch.astype(dtype), 130, 2), want)
+
+
 def test_diluted_state_sets_rejects_bad_input():
     with pytest.raises(ValueError):
         diluted_state_sets(np.zeros(8, dtype=int), 2, 0)
     with pytest.raises(ValueError):
         diluted_state_sets(np.zeros(6, dtype=int), 2, 1)  # not a power of two
+    for bad in ([5, 5], [-1, -1], [[0, 1], [1, 2]]):
+        with pytest.raises(ValueError, match="leaf states must lie in 0..1"):
+            diluted_state_sets(bad, 2, 1)
+    with pytest.raises(ValueError, match="leaf states must lie in 0..3"):
+        diluted_estimates([[7, 7, 7, 7]], 4, 1, np.random.default_rng(82))
 
 
 def test_diluted_estimator_law_on_monochromatic_leaves():

@@ -29,6 +29,15 @@ def test_usage_errors_exit_one(capsys):
         assert main(["sweep", "--q-values", "2", "--tau-values", "0.3",
                      "--h-values", "2", "--jobs", jobs]) == EXIT_USAGE
         assert "jobs must be >= 1" in capsys.readouterr().err
+    asr = ["sweep", "--mode", "asr", "--q-values", "2", "--tau-values", "0.3",
+           "--h-values", "2", "--seed", "1"]
+    for flags in (["--k-values", "500"], ["--D", "3"], ["--W", "20"],
+                  ["--f-min", "0.1"], ["--random-lengths", "0.1,0.3"],
+                  ["--W", "5.5", "--k-values", "1000"]):
+        assert main(asr + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        named = [f for f in flags if f.startswith("--")]
+        assert err.startswith("error: ") and all(f in err for f in named), flags
     assert main(["--version"]) == EXIT_OK
     capsys.readouterr()
 

@@ -70,7 +70,7 @@ def test_pairwise_matrix_saturates_exactly():
 
 
 def byte_row_distances(seqs, q):
-    """Oracle for q > 8: agreement counts from comparing the states row by
+    """Oracle for q > 4: agreement counts from comparing the states row by
     row, then the library's channel inversion and saturation rule."""
     m, k = seqs.shape
     agree = np.empty((m, m), dtype=np.float64)
@@ -85,7 +85,9 @@ def byte_row_distances(seqs, q):
 
 @pytest.mark.parametrize("q,k", [*itertools.product((9, 12, 20, 64, 255),
                                                     (1, 63, 64, 65, 4000)),
-                                 (12, 12), (12, 4008), (300, 4000)])
+                                 (12, 12), (12, 4008), (300, 4000),
+                                 *itertools.product((5, 6, 7, 8),
+                                                    (1, 63, 64, 65, 4000))])
 def test_bit_plane_distances_match_byte_rows(q, k):
     rng = np.random.default_rng(1000 * q + k)
     seqs = rng.integers(q, size=(12, k))
