@@ -17,6 +17,12 @@ When the number of levels is not a multiple of l, the tree is padded
 with zero-length edges and the leaf states are copied downward; the
 padding is applied arithmetically rather than by materialising copies.
 
+The majority vote counts each row's states and breaks ties with sub-unit
+uniform noise, a row chunk at a time (one ``rng.random((rows, q))`` a
+chunk, which draws the same doubles as one call for all rows).  At q = 2
+the count is a column sum: state 1 wins iff ones + u1 > zeros + u0, the
+first-maximum rule of argmax over the noisy counts.
+
 Candidate sets are bitmasks: one unsigned word per (row, vertex), the
 narrowest of uint8..uint64 that holds q bits, or ceil(q/64) uint64
 words above q = 64, with bit s meaning "state s qualifies".  A leaf
@@ -35,6 +41,7 @@ from .model import RateModel, delta_from_tau, transition_matrix
 from .tree import Phylogeny
 
 _BOOL_BUDGET = 1 << 25   # q * n leaf-state pairs per chunk; sets the RNG batch sizes
+_VOTE_BUDGET = 1 << 16   # rows * (q + n) per majority chunk: counts, noise and leaves stay in cache
 
 
 def _levels_of(n_leaves: int) -> int:
@@ -47,6 +54,16 @@ def _levels_of(n_leaves: int) -> int:
 def _check_states(leaf_batch: np.ndarray, q: int):
     if leaf_batch.size and (leaf_batch.min() < 0 or leaf_batch.max() >= q):
         raise ValueError(f"leaf states must lie in 0..{q - 1}")
+
+
+def _leaf_rows(leaf_batch, q: int) -> np.ndarray:
+    """``leaf_batch`` as a checked (rows, leaves) array of states in 0..q-1."""
+    leaf_batch = np.asarray(leaf_batch)
+    if leaf_batch.ndim != 2:
+        raise ValueError(
+            f"leaf_batch must be 2-D (rows, leaves), got shape {leaf_batch.shape}")
+    _check_states(leaf_batch, q)
+    return leaf_batch
 
 
 def _word_dtype(q: int) -> np.dtype:
@@ -158,8 +175,7 @@ def _diluted_guesses(masks: np.ndarray, q: int, rng) -> np.ndarray:
 
 def diluted_estimates(leaf_batch: np.ndarray, q: int, l: int, rng) -> np.ndarray:
     """Guess-and-keep diluted root estimate per row of (B, n) leaf states."""
-    leaf_batch = np.asarray(leaf_batch)
-    _check_states(leaf_batch, q)
+    leaf_batch = _leaf_rows(leaf_batch, q)
     n_rows, n = leaf_batch.shape
     chunk = _rows_per_chunk(q, n)
     out = np.empty(n_rows, dtype=np.int32)
@@ -169,15 +185,34 @@ def diluted_estimates(leaf_batch: np.ndarray, q: int, l: int, rng) -> np.ndarray
     return out
 
 
-def majority_estimates(leaf_batch: np.ndarray, q: int, rng) -> np.ndarray:
+def _count_dtype(dtype: np.dtype, n: int) -> np.dtype:
+    """The rows' own integer dtype when it holds n, so a column sum
+    reads them without a cast; int64 otherwise."""
+    if dtype.kind in "iu" and np.iinfo(dtype).max >= n:
+        return dtype
+    return np.dtype(np.int64)
+
+
+def majority_estimates(leaf_batch, q: int, rng) -> np.ndarray:
     """Plurality vote per row of (B, n) leaf states, ties broken uniformly."""
-    n_rows = leaf_batch.shape[0]
-    _check_states(leaf_batch, q)
-    codes = np.arange(n_rows)[:, None] * q + leaf_batch
-    counts = np.bincount(codes.reshape(-1), minlength=n_rows * q)
-    counts = counts.reshape(n_rows, q).astype(np.float64)
-    # Sub-unit noise turns argmax into a uniform tie-break.
-    return np.argmax(counts + rng.random(counts.shape), axis=1).astype(np.int32)
+    leaf_batch = _leaf_rows(leaf_batch, q)
+    n_rows, n = leaf_batch.shape
+    chunk = max(1, _VOTE_BUDGET // (q + n))
+    count_dtype = _count_dtype(leaf_batch.dtype, n)
+    out = np.empty(n_rows, dtype=np.int32)
+    for start in range(0, n_rows, chunk):
+        rows = leaf_batch[start:start + chunk]
+        # Sub-unit noise turns argmax into a uniform tie-break.
+        noise = rng.random((len(rows), q))
+        if q == 2:
+            ones = np.add.reduce(rows, axis=1, dtype=count_dtype)
+            out[start:start + chunk] = (ones + noise[:, 1]) > ((n - ones) + noise[:, 0])
+        else:
+            codes = np.add(np.arange(len(rows))[:, None] * q, rows, dtype=np.int64)
+            counts = np.bincount(codes.ravel(order="K"), minlength=len(rows) * q)
+            noise += counts.reshape(len(rows), q)
+            out[start:start + chunk] = np.argmax(noise, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ quartets inside the diameter gate (the 4-cliques of the graph of
 distances at most the gate, enumerated directly, so deep trees never
 visit the C(m, 4) others), collects the accepted splits, and pairs up
 the vertices that only ever appear on the same side of accepted splits.
-Each new parent gets a sequence reconstructed site-by-site from its
-descendant leaf data, and the sweep repeats one level up.  A vertex is
+The new parents' sequences are reconstructed site-by-site from their
+descendant leaf data: the majority estimator gathers the level's leaf
+columns once and casts one vote over all of them, the diluted one runs
+per parent.  The sweep then repeats one level up.  A vertex is
 carried as the tuple of its leaves and its shape as nested tuples; the
 last two vertices are joined by ``tree.nested_topology`` into the
 unrooted topology.
@@ -253,20 +255,37 @@ def reconstruct_internal_sequences(parent_leaf_sets, align: Alignment, q: int,
     """Site-by-site root estimates for each parent's descendant leaves.
 
     ``parent_leaf_sets`` holds, per parent, the labels of its descendant
-    leaves in subtree order; the estimator sees only those leaf columns.
-    Returns one length-k int array per parent.
+    leaves in subtree order, every parent with the same number w of
+    them; the estimator sees only those leaf columns.  The majority vote
+    is one call over the P parents' columns gathered at once into a
+    (P * k, w) block, parent-major (parent p owns rows p*k to (p+1)*k).
+    The diluted estimator gathers and estimates one parent's (k, w) rows
+    at a time, which keeps them in cache.  Gathers read whole leaf
+    columns, contiguous when ``align.states`` is leaf-major as
+    ``sample_alignment`` returns it.  Returns one length-k int array per
+    parent.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}")
     column = {v: i for i, v in enumerate(align.node_ids)}
-    out = []
-    for leaves in parent_leaf_sets:
-        block = align.states[:, [column[v] for v in leaves]]
-        if estimator == "diluted":
-            out.append(diluted_estimates(block, q, l, rng))
-        else:
-            out.append(majority_estimates(block, q, rng))
-    return out
+    try:
+        cols = [[column[v] for v in leaves] for leaves in parent_leaf_sets]
+    except KeyError as exc:
+        raise ValueError(f"leaf label {exc.args[0]!r} is not a column of the "
+                         "alignment") from None
+    sizes = {len(c) for c in cols}
+    if len(sizes) > 1:
+        raise ValueError(
+            f"parent leaf sets must be of one size, got sizes {sorted(sizes)}")
+    if not cols:
+        return []
+    index = np.array(cols, dtype=np.intp)
+    (n_parents, w), k = index.shape, align.k
+    by_leaf = align.states.T
+    if estimator == "majority":
+        block = by_leaf[index.T].reshape(w, n_parents * k).T
+        return list(majority_estimates(block, q, rng).reshape(n_parents, k))
+    return [diluted_estimates(by_leaf[row].T, q, l, rng) for row in index]
 
 
 def reconstruct_homogeneous(align: Alignment, q: int,

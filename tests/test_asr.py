@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phyrec.asr import (
+    _VOTE_BUDGET,
     _candidate_masks,
     _posterior_batch,
     diluted_estimates,
@@ -208,6 +209,9 @@ def test_diluted_state_sets_rejects_bad_input():
             diluted_state_sets(bad, 2, 1)
     with pytest.raises(ValueError, match="leaf states must lie in 0..3"):
         diluted_estimates([[7, 7, 7, 7]], 4, 1, np.random.default_rng(82))
+    for bad in ([0, 1, 1, 0], 3, np.zeros((1, 2, 4), dtype=int)):
+        with pytest.raises(ValueError, match="leaf_batch must be 2-D"):
+            diluted_estimates(bad, 2, 1, np.random.default_rng(82))
 
 
 def test_diluted_estimator_law_on_monochromatic_leaves():
@@ -234,10 +238,23 @@ def test_diluted_estimates_matches_scalar_law():
         assert abs(np.mean(draws == s) - 1.0 / 6) < 0.05
 
 
+class FlatNoise:
+    """Stands in for a Generator whose every uniform draw is 0.5."""
+
+    def random(self, shape):
+        return np.full(shape, 0.5)
+
+
 def test_majority_estimator():
     rng = np.random.default_rng(67)
     assert majority_estimates(np.array([[0, 0, 1, 2]]), 3, rng)[0] == 0
     assert majority_estimates(np.array([[2, 2, 2, 2]]), 3, rng)[0] == 2
+    # array-likes are accepted
+    assert majority_estimates([[1, 1], [1, 1]], 2, rng).tolist() == [1, 1]
+    # equal noise on every state: a tie goes to the first maximum, as in argmax
+    for q in (2, 3):
+        tied = np.array([[0, 1], [1, 0], [1, 1], [q - 1, 1]])
+        assert majority_estimates(tied, q, FlatNoise()).tolist() == [0, 0, 1, 1]
     # two-way tie breaks uniformly
     draws = majority_estimates(np.tile(np.array([[0, 1]]), (2000, 1)), 2, rng)
     ones = int(draws.sum())
@@ -269,11 +286,42 @@ def test_majority_estimates_matches_add_at_oracle(q, n_rows, n):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def bincount_majority(leaf_batch, q, rng):
+    """Oracle: one bincount over all rows, then argmax over the counts
+    plus one (B, q) draw of sub-unit noise."""
+    n_rows = leaf_batch.shape[0]
+    codes = np.arange(n_rows)[:, None] * q + leaf_batch
+    counts = np.bincount(codes.reshape(-1), minlength=n_rows * q)
+    counts = counts.reshape(n_rows, q).astype(np.float64)
+    return np.argmax(counts + rng.random(counts.shape), axis=1).astype(np.int32)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 8), (2, 130), (3, 1), (3, 4),
+                                 (5, 6), (64, 2), (64, 16), (130, 4)])
+def test_majority_estimates_match_bincount_oracle(q, n):
+    # even n gives q = 2 ties; row counts straddle the chunk boundaries,
+    # and the generator must end where one (B, q) draw leaves it
+    chunk = _VOTE_BUDGET // (q + n)
+    for n_rows in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+        batch = np.random.default_rng([q, n, n_rows]).integers(q, size=(n_rows, n))
+        for rows in (batch.astype(np.int8 if q < 128 else np.int16),
+                     np.asfortranarray(batch.astype(np.int32)),
+                     batch.astype(np.uint64)):
+            rng, ref = np.random.default_rng(76), np.random.default_rng(76)
+            got = majority_estimates(rows, q, rng)
+            want = bincount_majority(batch, q, ref)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_majority_estimates_rejects_states_outside_alphabet():
     rng = np.random.default_rng(75)
     for bad in ([[0, 2]], [[-1, 0]]):
         with pytest.raises(ValueError, match="leaf states must lie in 0..1"):
             majority_estimates(np.array(bad), 2, rng)
+    for bad in (np.array([0, 1]), [1], 0, np.zeros((2, 2, 2), dtype=int)):
+        with pytest.raises(ValueError, match="leaf_batch must be 2-D"):
+            majority_estimates(bad, 2, rng)
 
 
 def test_estimate_error_channel_shallow_signal():

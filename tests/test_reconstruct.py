@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phyrec.asr import _VOTE_BUDGET, diluted_estimates, majority_estimates
 from phyrec.errors import (
     CherryMatchingError,
     EnumerationTooLargeError,
@@ -17,6 +18,7 @@ from phyrec.reconstruct import (
     _quartet_relations,
     auto_reconstruction_params,
     reconstruct_homogeneous,
+    reconstruct_internal_sequences,
 )
 from phyrec.simulate import Alignment, sample_alignment
 from phyrec.model import potts_rate_matrix
@@ -27,6 +29,21 @@ from phyrec.tree import (
     tree_metric,
     unroot,
 )
+
+
+def per_parent_sequences(parent_leaf_sets, align, q, l, rng, estimator):
+    """Oracle internal sequences: one estimator call per parent on its
+    own leaf columns, in parent order (``majority_estimates`` itself is
+    held to a one-call bincount oracle in test_asr)."""
+    column = {v: i for i, v in enumerate(align.node_ids)}
+    out = []
+    for leaves in parent_leaf_sets:
+        block = align.states[:, [column[v] for v in leaves]]
+        if estimator == "diluted":
+            out.append(diluted_estimates(block, q, l, rng))
+        else:
+            out.append(majority_estimates(block, q, rng))
+    return out
 
 
 def empty_alignment(n, q=2):
@@ -291,6 +308,41 @@ def test_noiseless_reconstruction(h):
         got = reconstruct_homogeneous(empty_alignment(phy.n_leaves), 2, params,
                                       rng, metric_fn=exact_metric_fn(phy))
         assert topologies_equal(got, unroot(phy))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 64, 130])
+@pytest.mark.parametrize("estimator,w", [("majority", 1), ("majority", 2),
+                                         ("majority", 3), ("diluted", 2),
+                                         ("diluted", 4)])
+def test_internal_sequences_match_per_parent_oracle(q, estimator, w):
+    # P * k rows on both sides of a majority chunk boundary; shuffled
+    # labels; C- and F-ordered states (sample_alignment returns the latter)
+    n_parents = 4
+    chunk = _VOTE_BUDGET // (q + w)
+    ids = [int(v) for v in np.random.default_rng(q).permutation(n_parents * w) + 1]
+    sets = [tuple(range(1 + p * w, 1 + (p + 1) * w)) for p in range(n_parents)][::-1]
+    for k in (chunk // n_parents, chunk // n_parents + 1, 3 * chunk // n_parents - 1):
+        data = np.random.default_rng([q, w, k]).integers(q, size=(k, n_parents * w))
+        for states in (data, np.asfortranarray(data.astype(np.int32))):
+            align = Alignment(ids, states, q)
+            rng, ref = np.random.default_rng(95), np.random.default_rng(95)
+            got = reconstruct_internal_sequences(sets, align, q, 2, rng, estimator)
+            want = per_parent_sequences(sets, align, q, 2, ref, estimator)
+            assert len(got) == n_parents
+            for g, x in zip(got, want):
+                assert g.dtype == x.dtype and np.array_equal(g, x)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_internal_sequences_reject_bad_leaf_sets():
+    align = Alignment([1, 2, 3, 4], np.zeros((5, 4), dtype=int), 2)
+    rng = np.random.default_rng(96)
+    for estimator in ("majority", "diluted"):
+        with pytest.raises(ValueError, match="leaf label 9 is not a column"):
+            reconstruct_internal_sequences([(1, 9)], align, 2, 1, rng, estimator)
+        with pytest.raises(ValueError, match="must be of one size"):
+            reconstruct_internal_sequences([(1, 2), (3,)], align, 2, 1, rng, estimator)
+        assert reconstruct_internal_sequences([], align, 2, 1, rng, estimator) == []
 
 
 def test_noiseless_reconstruction_ignores_vertex_biases():
